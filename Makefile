@@ -1,21 +1,21 @@
 GO ?= go
 
-.PHONY: check build test vet race lint spill props serve elevator hammer bench
+.PHONY: check build test vet race lint spill props serve elevator join hammer bench
 
 # check is the CI gate: vet, build, a -race short-test pass over every
 # package (catches data races in the parallel scan/agg/join paths, the
 # stripe-granular morsel sharing and the shared memory governor), the
 # full suite, then the constrained-budget spill regressions — the spill
 # path can never silently rot because check always executes it.
-check: vet build lint race test spill props serve elevator
+check: vet build lint race test spill props serve elevator join
 
 vet:
 	$(GO) vet ./...
 
 # lint builds and runs hivelint (cmd/hivelint), the repo-invariant
 # static-analysis suite: reservation-balance, snapshot-pinning,
-# no-alias-escape, close-and-cancel and conf-knob-registry analyzers over
-# every package. Any unsuppressed finding fails check; deliberate
+# no-alias-escape, close-and-cancel, conf-knob-registry and no-row-boxing
+# analyzers over every package. Any unsuppressed finding fails check; deliberate
 # exceptions carry //lint:ignore <analyzer> <reason> annotations, and the
 # golden-diagnostic fixtures for each analyzer run under `make test`
 # (go test ./internal/lint).
@@ -76,6 +76,17 @@ elevator:
 	$(GO) test ./internal/llap -run 'DecodedCache|QueryVectorView|Elevator|MetadataCache'
 	$(GO) test ./internal/acid -run 'DeleteDeltaSargSkipsStripes|ScanWithElevatorMatchesSynchronous'
 	$(GO) test -race -count=1 -run 'TestElevatorByteIdentity|TestElevatorObservability|TestElevatorConcurrentTinyCache' .
+
+# join is the hash-join gate (PR 13), all under -race: the nested-loop
+# oracle against HashJoinOp for seven kinds x key shapes x residual x
+# DOP 1/2/4 x unlimited/Grace-forcing budget x shared-build clones (parallel
+# staging, the bucket-range index build and clones probing one table all run
+# with the detector on), the semijoin-reducer value-list cap, the golden
+# serial output order of the end-to-end join queries, and the executor-pool
+# all-or-nothing acquisition regression.
+join:
+	$(GO) test -race -count=1 -run 'JoinOracle|BuildFilterValueCap' ./internal/exec
+	$(GO) test -race -count=1 -run 'JoinOrderGolden|SerialPlansShareSmallExecutorPool' .
 
 # hammer is the multi-tenant overload gate: ~200 concurrent sessions
 # across two memory-budgeted WM pools (tiny lookups + beyond-memory

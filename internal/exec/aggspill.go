@@ -243,11 +243,7 @@ func (t *spillAggTable) loadPart(p int) error {
 
 // freePart drops partition p's resident table and removes its run files.
 func (t *spillAggTable) freePart(p int) {
-	if fs, ok := t.ctx.spillTarget(); ok {
-		for _, path := range t.parts[p] {
-			fs.Remove(path, false)
-		}
-	}
+	t.ctx.removeSpills(t.parts[p])
 	t.parts[p] = nil
 	t.partTable = nil
 	t.partEmit = 0
@@ -345,12 +341,8 @@ func (t *spillAggTable) close() {
 	if t == nil {
 		return
 	}
-	if fs, ok := t.ctx.spillTarget(); ok {
-		for _, files := range t.parts {
-			for _, path := range files {
-				fs.Remove(path, false)
-			}
-		}
+	for _, files := range t.parts {
+		t.ctx.removeSpills(files)
 	}
 	t.parts, t.table, t.partTable = nil, nil, nil
 	t.res.Release()

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/plan"
-	"repro/internal/spill"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -16,23 +15,30 @@ import (
 // partition-by-partition probe holds one build partition at a time.
 const joinSpillParts = 16
 
+// pairChunk bounds the candidate (probe row, build row) pairs one probe
+// step collects before it filters and emits them, so a probe row matching
+// the whole build (a nested-loop join, a hot key) never materializes its
+// fan-out at once.
+const pairChunk = vector.BatchSize
+
 // HashJoinOp joins two inputs. The right input is the build side. Equi-key
 // pairs drive the hash table; Residual (over the concatenated row) is
 // evaluated per candidate match. Semi/Anti emit only left columns; Single
 // enforces the scalar-subquery at-most-one-match guarantee.
 //
-// The build is partitioned: rows are materialized in parallel (when
-// Ctx.DOP > 1) and fanned into hash-disjoint partitions, each with its own
-// index — the parallel partitioned build of morsel-driven engines. A
-// Shared build lets parallel probe-pipeline clones probe one table.
+// The build side lives in one columnar joinTable (jointable.go), staged in
+// parallel when Ctx.DOP > 1 (buildTable); a Shared build lets parallel
+// probe-pipeline clones probe one table. The probe is batch-at-a-time: hash
+// the key vectors, walk the chains comparing hash and then keys column to
+// column, collect (probe row, build row) pairs, evaluate Residual once over
+// the gathered pairs, and emit by column gather. A join without equi keys
+// is the same walk over the one chain that holds every build row.
 //
 // The build is memory-governed: when the query budget denies growth the
 // join Grace-partitions — build rows spill to hash-partitioned scratch
 // files, probe rows partition to scratch the same way, and the probe then
 // runs partition by partition, each small enough to index in memory.
-// Matching keys hash equal, so every match pair lands in the same
-// partition and the per-partition probes reuse the in-memory probe path
-// unchanged.
+// Matching keys hash equal, so every match pair lands in one partition.
 type HashJoinOp struct {
 	Left, Right Operator
 	Kind        plan.JoinKind
@@ -44,38 +50,46 @@ type HashJoinOp struct {
 	// BuildFilter, when non-nil, receives the build-side key values to
 	// populate a dynamic semijoin reducer (paper §4.6).
 	BuildFilter *RuntimeFilter
-	// Shared, when non-nil, holds the build input and its partitioned hash
-	// table, built exactly once and probed by every worker clone. Clones
-	// have a nil Right.
+	// Shared, when non-nil, holds the build input and its hash table, built
+	// exactly once and probed by every worker clone. Clones have a nil
+	// Right.
 	Shared *sharedBuild
 
-	outTypes  []types.T
-	rtTypes   []types.T
-	built     bool
-	parts     []buildPartition
-	leftW     int
-	rightW    int
-	emittedRt bool
-	leftDone  bool
-	pending   *batchBuilder
+	outTypes []types.T
+	rtTypes  []types.T
+	leftW    int
+	built    bool
+	table    *joinTable
+	leftDone bool // Grace: the probe input is wholly partitioned to scratch
+	done     bool // nextProbeBatch returned nil: only queued output is left
+
+	// Probe state: batch pb is probed from live row pi on. cur resumes row
+	// pi's chain (build row+1; -1 when the row has not started) and carry
+	// counts the matches it already had in earlier steps.
+	pb       *vector.Batch
+	pkeys    []*vector.Vector
+	phash    []uint64
+	pi       int
+	cur      int32
+	carry    int
+	sel      []int         // Semi/Anti: pb's surviving rows
+	pr, br   []int32       // candidate pairs (physical probe row, build row)
+	opr, obr []int32       // output pairs; build row -1 null-extends
+	scratch  *vector.Batch // Residual's input: the candidate pairs, gathered
+
+	out   *vector.Batch // output batch being filled, outN rows so far
+	outN  int
+	ready []*vector.Batch
 
 	// Grace state: non-nil graceBuild means the build side spilled and the
 	// probe runs partition by partition.
 	res        *Reservation
-	graceBuild [][]string          // build partition -> spill files
-	probeBufs  [][][]types.Datum   // buffered probe rows per partition
-	probeFiles [][]string          // probe partition -> spill files
-	gracePart  int                 // next partition to load
-	partLoaded bool
-	probePull  func() (*vector.Batch, error) // loaded partition's probe replay
-}
-
-// buildPartition is one hash-disjoint slice of the build side.
-type buildPartition struct {
-	rows    [][]types.Datum
-	keys    [][]types.Datum // build-side key values, parallel to rows
-	index   map[uint64][]int
-	matched []bool // allocated only for right/full outer joins
+	boxer      rowBoxer
+	graceBuild [][]string                    // build partition -> spill files
+	probeBufs  [joinSpillParts]*joinTable    // buffered probe rows per partition
+	probeFiles [joinSpillParts][]string      // probe partition -> spill files
+	gracePart  int                           // partition loaded, or next to load
+	probePull  func() (*vector.Batch, error) // loaded partition's probe replay, nil when none is
 }
 
 // sharedBuild owns the build input of a parallelized join: the first probe
@@ -88,18 +102,10 @@ type buildPartition struct {
 type sharedBuild struct {
 	right     Operator
 	once      sync.Once
-	parts     []buildPartition
+	table     *joinTable
 	grace     [][]string
 	err       error
 	cleanOnce sync.Once
-}
-
-// buildRow is a materialized build-side row with its key hash, staged
-// thread-locally before partition fan-in.
-type buildRow struct {
-	row  []types.Datum
-	keys []types.Datum
-	h    uint64
 }
 
 // Types implements Operator.
@@ -107,15 +113,11 @@ func (j *HashJoinOp) Types() []types.T {
 	if j.outTypes == nil {
 		lt := j.Left.Types()
 		rt := j.Right.Types()
-		switch j.Kind {
-		case plan.Semi, plan.Anti:
-			j.outTypes = lt
-		default:
+		j.outTypes = lt
+		if j.Kind != plan.Semi && j.Kind != plan.Anti {
 			j.outTypes = append(append([]types.T{}, lt...), rt...)
 		}
-		j.leftW = len(lt)
-		j.rightW = len(rt)
-		j.rtTypes = rt
+		j.leftW, j.rtTypes = len(lt), rt
 	}
 	return j.outTypes
 }
@@ -123,16 +125,12 @@ func (j *HashJoinOp) Types() []types.T {
 // Open implements Operator.
 func (j *HashJoinOp) Open() error {
 	j.Types()
-	j.built = false
-	j.parts = nil
-	j.emittedRt = false
-	j.leftDone = false
-	j.graceBuild, j.probeBufs, j.probeFiles = nil, nil, nil
-	j.gracePart, j.partLoaded, j.probePull = 0, false, nil
-	j.res = nil
-	if j.Ctx != nil {
-		j.res = j.Ctx.Governor().Reserve("hashjoin")
-	}
+	j.built, j.table = false, nil
+	j.leftDone, j.done = false, false
+	j.pb, j.out, j.ready = nil, nil, nil
+	j.graceBuild, j.probeBufs, j.probeFiles = nil, [joinSpillParts]*joinTable{}, [joinSpillParts][]string{}
+	j.gracePart, j.probePull = 0, nil
+	j.res = j.Ctx.Governor().Reserve("hashjoin") // nil-safe: ungoverned when Ctx or its governor is nil
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -142,68 +140,65 @@ func (j *HashJoinOp) Open() error {
 	return nil
 }
 
-// build produces the partitioned hash table — or, when the build side
-// spilled, the Grace partition files — publishing the semijoin reducer
-// exactly once even on failure so parallel scan workers blocked on it can
-// always proceed.
+func (j *HashJoinOp) newTable() *joinTable { return newJoinTable(j.rtTypes, j.RightKeys) }
+
+// build produces the hash table — or, when the build side spilled, the
+// Grace partition files — publishing the semijoin reducer exactly once even
+// on failure so parallel scan workers blocked on it can always proceed. A
+// shared build is run by the first clone to get here: it opens, drains and
+// closes the build input exactly once.
 func (j *HashJoinOp) build() error {
 	var err error
-	if j.Shared != nil {
-		j.Shared.once.Do(func() {
-			j.Shared.parts, j.Shared.grace, j.Shared.err = j.runSharedBuild()
+	if sb := j.Shared; sb != nil {
+		sb.once.Do(func() {
+			if sb.err = sb.right.Open(); sb.err == nil {
+				sb.table, sb.grace, sb.err = j.buildTable(sb.right)
+				if cerr := sb.right.Close(); sb.err == nil {
+					sb.err = cerr
+				}
+			}
+			j.publishBuildFilter(sb.err)
 		})
-		j.parts, j.graceBuild, err = j.Shared.parts, j.Shared.grace, j.Shared.err
+		j.table, j.graceBuild, err = sb.table, sb.grace, sb.err
 	} else {
-		j.parts, j.graceBuild, err = j.buildPartitions(j.Right)
-		if j.BuildFilter != nil {
-			j.finishBuildFilter(err)
-		}
+		j.table, j.graceBuild, err = j.buildTable(j.Right)
+		j.publishBuildFilter(err)
 	}
 	if err != nil {
 		return err
 	}
-	if (j.Kind == plan.Right || j.Kind == plan.Full) && j.graceBuild == nil {
-		for pi := range j.parts {
-			j.parts[pi].matched = make([]bool, len(j.parts[pi].rows))
-		}
+	if j.Residual != nil {
+		j.scratch = vector.NewBatch(append(append([]types.T{}, j.Left.Types()...), j.rtTypes...), pairChunk)
 	}
 	j.built = true
 	return nil
 }
 
-func (j *HashJoinOp) runSharedBuild() ([]buildPartition, [][]string, error) {
-	var parts []buildPartition
-	var grace [][]string
-	err := j.Shared.right.Open()
-	if err == nil {
-		parts, grace, err = j.buildPartitions(j.Shared.right)
-		if cerr := j.Shared.right.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if j.BuildFilter != nil {
-		j.finishBuildFilter(err)
-	}
-	return parts, grace, err
-}
+// outer reports a join that emits its unmatched build rows; its tables
+// track which rows matched. Such joins are never cloned, so a table with a
+// matched bitmap has one prober.
+func (j *HashJoinOp) outer() bool { return j.Kind == plan.Right || j.Kind == plan.Full }
 
-// finishBuildFilter publishes the semijoin reducer; a failed build resets
-// it to a pass-through first so no rows are wrongly pruned.
-func (j *HashJoinOp) finishBuildFilter(err error) {
+// publishBuildFilter publishes the semijoin reducer, if any; a failed build
+// resets it to a pass-through first so no rows are wrongly pruned.
+func (j *HashJoinOp) publishBuildFilter(err error) {
 	f := j.BuildFilter
+	if f == nil {
+		return
+	}
 	if err != nil {
 		f.Bloom, f.Values = nil, nil
 		f.Min, f.Max = types.Datum{}, types.Datum{}
-	} else {
-		finishFilter(f)
+	} else if len(f.Values) > maxPruneValues {
+		f.Values = nil // too many values for dynamic partition pruning
 	}
 	f.Publish()
 }
 
-// buildPartitions drains the build input and constructs the partitioned
-// hash table. With Ctx.DOP > 1 it borrows executor slots: workers consume
-// batches from a feeder channel, materialize rows thread-locally, then
-// each worker owns one partition and collects its rows lock-free.
+// buildTable drains the build input into one indexed joinTable. With
+// Ctx.DOP > 1 it borrows executor slots: workers consume batches from a
+// feeder channel and stage them into worker-local tables, which then
+// concatenate and index in parallel by bucket range.
 //
 // The parallel staging runs until the governor first denies a
 // reservation: the workers stop, everything staged Grace-flushes to
@@ -213,7 +208,7 @@ func (j *HashJoinOp) finishBuildFilter(err error) {
 // Grace path, returning partition files instead of an in-memory table.
 // Nested-loop builds (no equi keys) cannot Grace-partition — every probe
 // row must see every build row — so they force-grow instead.
-func (j *HashJoinOp) buildPartitions(right Operator) ([]buildPartition, [][]string, error) {
+func (j *HashJoinOp) buildTable(right Operator) (*joinTable, [][]string, error) {
 	dop, release := 1, func() {}
 	if j.Ctx != nil && j.Ctx.DOP > 1 {
 		extra, rel := j.Ctx.AcquireExtra(j.Ctx.DOP - 1)
@@ -221,25 +216,19 @@ func (j *HashJoinOp) buildPartitions(right Operator) ([]buildPartition, [][]stri
 	}
 	defer release()
 
-	var limit int64
-	if j.Ctx != nil {
-		limit = j.Ctx.MemoryLimitRows
-	}
 	var total atomic.Int64
-	locals := make([][]buildRow, dop)
+	locals := make([]*joinTable, dop)
+	for w := range locals {
+		locals[w] = j.newTable()
+	}
 	_, spillable := j.Ctx.spillTarget()
 	canGrace := spillable && len(j.RightKeys) > 0
 
 	var err error
 	if dop > 1 {
-		// Parallel staging runs until the first denied reservation: the
-		// workers stop, the staged rows Grace-flush, and the remainder of
-		// the input continues on the serial spilling loop below. Budgeted
-		// queries whose build fits keep the full parallel build.
-		var graceNeeded atomic.Bool
-		feed := make(chan *vector.Batch, dop)
+		var stop atomic.Bool                  // a worker failed, or was denied memory it could spill
+		feed := make(chan *vector.Batch, dop) // one batch in flight per worker
 		errs := make([]error, dop)
-		var failed atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < dop; w++ {
 			wg.Add(1)
@@ -249,30 +238,17 @@ func (j *HashJoinOp) buildPartitions(right Operator) ([]buildPartition, [][]stri
 					if errs[w] != nil {
 						continue // drain after failure
 					}
-					var sz int64
-					if sz, errs[w] = j.consumeBuildBatch(b, &locals[w], &total, limit); errs[w] != nil {
-						failed.Store(true)
-					}
-					if !j.res.Grow(sz) {
-						// Staged either way; keep accounting exact and
-						// signal the Grace switch (unless this build can
-						// only ever stay in memory).
-						j.res.ForceGrow(sz)
-						if canGrace {
-							graceNeeded.Store(true)
-						}
+					var denied bool
+					if denied, errs[w] = j.stageBuildBatch(b, locals[w], &total); errs[w] != nil || denied && canGrace {
+						stop.Store(true)
 					}
 				}
 			}(w)
 		}
-		for !failed.Load() && !graceNeeded.Load() {
-			if err = j.Ctx.CheckCanceled(); err != nil {
-				break
-			}
-			b, ferr := right.Next()
-			if ferr != nil {
-				err = ferr
-				break
+		for err == nil && !stop.Load() {
+			var b *vector.Batch
+			if err = j.Ctx.CheckCanceled(); err == nil {
+				b, err = right.Next()
 			}
 			if b == nil {
 				break
@@ -282,163 +258,99 @@ func (j *HashJoinOp) buildPartitions(right Operator) ([]buildPartition, [][]stri
 		close(feed)
 		wg.Wait()
 		for _, werr := range errs {
-			if err == nil && werr != nil {
+			if err == nil {
 				err = werr
 			}
 		}
-		if err == nil && graceNeeded.Load() {
-			// Hand every worker's staging to the serial loop's slot and
-			// flush it as the first Grace partitions.
-			for w := 1; w < dop; w++ {
-				locals[0] = append(locals[0], locals[w]...)
-				locals[w] = nil
-			}
-			err = j.flushBuildSpill(&locals[0])
+		// Every worker's staging lands in slot 0: the finished table, or
+		// the first Grace flush the serial loop below continues from.
+		for w := 1; w < dop && err == nil; w++ {
+			locals[0].appendTable(locals[w])
+			locals[w] = nil
+		}
+		if err == nil && stop.Load() {
+			err = j.flushBuildSpill(locals[0])
 		}
 	}
-	if err == nil && (dop == 1 || j.graceBuild != nil) {
-		// Serial: consume inline (the whole input, or whatever the
-		// parallel staging left after the Grace switch).
-		for err == nil {
-			if err = j.Ctx.CheckCanceled(); err != nil {
-				break
-			}
-			var b *vector.Batch
-			var sz int64
+	t := locals[0]
+	// Serial: the whole input, or whatever the parallel staging left after
+	// the Grace switch. A denied batch is resident all the same; the flush
+	// waits until enough has accumulated to be worth its files.
+	for err == nil && (dop == 1 || j.graceBuild != nil) {
+		var b *vector.Batch
+		if err = j.Ctx.CheckCanceled(); err == nil {
 			b, err = right.Next()
-			if err != nil || b == nil {
-				break
-			}
-			sz, err = j.consumeBuildBatch(b, &locals[0], &total, limit)
-			if err != nil || j.res.Grow(sz) {
-				continue
-			}
-			// The staged rows are resident either way; take the bytes,
-			// then Grace-flush once enough has accumulated. Nested-loop
-			// builds (no equi keys) can never flush.
-			j.res.ForceGrow(sz)
-			if !canGrace || !j.res.ShouldSpill() {
-				continue
-			}
-			err = j.flushBuildSpill(&locals[0])
+		}
+		if b == nil {
+			break
+		}
+		var denied bool
+		if denied, err = j.stageBuildBatch(b, t, &total); err == nil && denied && canGrace && j.res.ShouldSpill() {
+			err = j.flushBuildSpill(t)
 		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-
 	if j.graceBuild != nil {
 		// The build spilled at least once: flush the staged remainder so
 		// the whole build side is on disk, partitioned by key hash.
-		if err := j.flushBuildSpill(&locals[0]); err != nil {
-			return nil, nil, err
-		}
-		return nil, j.graceBuild, nil
+		return nil, j.graceBuild, j.flushBuildSpill(t)
 	}
+	t.buildIndex(dop, j.outer())
+	t.feedFilter(j.BuildFilter)
+	return t, nil, nil
+}
 
-	// Partition fan-in: worker p collects every staged row whose hash maps
-	// to partition p. Lock-free — each partition has exactly one writer.
-	parts := make([]buildPartition, dop)
-	var wg sync.WaitGroup
-	for p := 0; p < dop; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			part := &parts[p]
-			part.index = make(map[uint64][]int)
-			for _, local := range locals {
-				for i := range local {
-					br := &local[i]
-					if dop > 1 && int(br.h%uint64(dop)) != p {
-						continue
-					}
-					idx := len(part.rows)
-					part.rows = append(part.rows, br.row)
-					part.keys = append(part.keys, br.keys)
-					part.index[br.h] = append(part.index[br.h], idx)
-				}
-			}
-		}(p)
+// stageBuildBatch stages one build batch into a table — keys evaluated and
+// hashed column-at-a-time, live rows retained column-wise — and charges the
+// governor what it now holds: the vector payload plus 16 bytes per row for
+// the hash and the chain index. denied reports a refused reservation; the
+// bytes are taken regardless, since the rows are resident until a flush.
+func (j *HashJoinOp) stageBuildBatch(b *vector.Batch, t *joinTable, total *atomic.Int64) (denied bool, err error) {
+	keys, err := evalKeys(j.RightKeys, b, nil)
+	if err != nil {
+		return false, err
 	}
-	wg.Wait()
-
-	if j.BuildFilter != nil && len(j.RightKeys) > 0 {
-		for pi := range parts {
-			for _, keys := range parts[pi].keys {
-				if len(keys) > 0 && !keys[0].Null {
-					updateFilter(j.BuildFilter, keys[0])
-				}
-			}
-		}
+	sz := t.appendRows(b.Cols, keys, b.Sel, b.N) + 16*int64(b.N)
+	t.hashes = hashKeys(keys, b, t.hashes)
+	if denied = !j.res.Grow(sz); denied {
+		j.res.ForceGrow(sz)
 	}
-	return parts, nil, nil
+	if n := total.Add(int64(b.N)); j.Ctx != nil && j.Ctx.MemoryLimitRows > 0 && n > j.Ctx.MemoryLimitRows {
+		return denied, ErrMemoryPressure{Operator: "hash join build", Rows: n}
+	}
+	return denied, nil
 }
 
 // flushBuildSpill Grace-partitions the staged build rows into per-partition
 // spill files — each row serialized as its key hash, key values and data
-// row, so partition reloads rebuild the hash index without re-evaluating
-// key expressions — and frees their memory. The semijoin reducer is fed
-// here, since spilled rows never reach the in-memory filter pass.
-func (j *HashJoinOp) flushBuildSpill(local *[]buildRow) error {
+// row, so partition reloads rebuild the table without re-evaluating key
+// expressions — and empties the table. The semijoin reducer is fed here,
+// since spilled rows never reach the in-memory filter pass.
+func (j *HashJoinOp) flushBuildSpill(t *joinTable) error {
 	if j.graceBuild == nil {
 		j.graceBuild = make([][]string, joinSpillParts)
 	}
-	buckets := make([][][]types.Datum, joinSpillParts)
-	for i := range *local {
-		br := &(*local)[i]
-		if j.BuildFilter != nil && len(br.keys) > 0 && !br.keys[0].Null {
-			updateFilter(j.BuildFilter, br.keys[0])
-		}
-		p := int(br.h % joinSpillParts)
-		row := make([]types.Datum, 0, 1+len(br.keys)+len(br.row))
-		row = append(row, types.NewBigint(int64(br.h)))
-		row = append(row, br.keys...)
-		row = append(row, br.row...)
-		buckets[p] = append(buckets[p], row)
+	t.feedFilter(j.BuildFilter)
+	var rows [joinSpillParts][]int32
+	for r, h := range t.hashes {
+		rows[h%joinSpillParts] = append(rows[h%joinSpillParts], int32(r))
 	}
-	for p, rows := range buckets {
-		if len(rows) == 0 {
+	cols := append(append([]*vector.Vector{}, t.keys...), t.cols...)
+	for p, sel := range rows {
+		if len(sel) == 0 {
 			continue
 		}
-		path, err := writeRunFile(j.Ctx, fmt.Sprintf("join_build_p%02d", p), rows)
+		path, err := j.boxer.spill(j.Ctx, fmt.Sprintf("join_build_p%02d", p), t.hashes, cols, sel, len(sel))
 		if err != nil {
 			return err
 		}
 		j.graceBuild[p] = append(j.graceBuild[p], path)
 	}
-	*local = nil
+	*t = *j.newTable()
 	j.res.Release()
 	return nil
-}
-
-// consumeBuildBatch materializes one build batch into a worker-local
-// staging area, hashing keys column-at-a-time. It returns the estimated
-// bytes staged, which the caller accounts against the memory governor.
-func (j *HashJoinOp) consumeBuildBatch(b *vector.Batch, local *[]buildRow, total *atomic.Int64, limit int64) (int64, error) {
-	keyCols := make([]*vector.Vector, len(j.RightKeys))
-	for i, k := range j.RightKeys {
-		v, err := k.Eval(b)
-		if err != nil {
-			return 0, err
-		}
-		keyCols[i] = v
-	}
-	hs := hashKeys(keyCols, b)
-	var sz int64
-	for i := 0; i < b.N; i++ {
-		r := b.RowIdx(i)
-		keys := make([]types.Datum, len(keyCols))
-		for k, kc := range keyCols {
-			keys[k] = kc.Get(r)
-		}
-		row := b.Row(i)
-		*local = append(*local, buildRow{row: row, keys: keys, h: hs[i]})
-		sz += rowBytes(row) + rowBytes(keys) + 16
-	}
-	if n := total.Add(int64(b.N)); limit > 0 && n > limit {
-		return sz, ErrMemoryPressure{Operator: "hash join build", Rows: n}
-	}
-	return sz, nil
 }
 
 func updateFilter(f *RuntimeFilter, d types.Datum) {
@@ -452,79 +364,16 @@ func updateFilter(f *RuntimeFilter, d types.Datum) {
 	if f.Max.K == types.Unknown || d.Compare(f.Max) > 0 {
 		f.Max = d
 	}
-	if f.Values != nil || len(f.Values) < 10000 {
+	// One value past the pruning limit is all publishBuildFilter needs to
+	// see the overflow; a big build must not keep a datum per row here.
+	if len(f.Values) <= maxPruneValues {
 		f.Values = append(f.Values, d)
 	}
 }
 
-func finishFilter(f *RuntimeFilter) {
-	if len(f.Values) > 10000 {
-		f.Values = nil // too many values for dynamic partition pruning
-	}
-}
-
-// hashKeys computes the combined key hash of every live row in the batch,
-// column-at-a-time over the key vectors — no per-row datum materialization
-// on the probe hot path.
-func hashKeys(cols []*vector.Vector, b *vector.Batch) []uint64 {
-	hs := make([]uint64, b.N)
-	for i := range hs {
-		hs[i] = vector.HashSeed
-	}
-	for _, c := range cols {
-		c.HashInto(b.Sel, b.N, hs)
-	}
-	return hs
-}
-
-// batchBuilder accumulates output rows into batches, queueing completed
-// batches so a single probe batch may fan out beyond one output batch.
-type batchBuilder struct {
-	ts    []types.T
-	b     *vector.Batch
-	n     int
-	cap   int
-	ready []*vector.Batch
-}
-
-func newBatchBuilder(ts []types.T) *batchBuilder {
-	return &batchBuilder{ts: ts, cap: vector.BatchSize}
-}
-
-func (bb *batchBuilder) add(row []types.Datum) {
-	if bb.b == nil {
-		bb.b = vector.NewBatch(bb.ts, bb.cap)
-		bb.n = 0
-	}
-	for c, d := range row {
-		bb.b.Cols[c].Set(bb.n, d)
-	}
-	bb.n++
-	if bb.n >= bb.cap {
-		bb.b.N = bb.n
-		bb.ready = append(bb.ready, bb.b)
-		bb.b = nil
-		bb.n = 0
-	}
-}
-
-func (bb *batchBuilder) full() bool { return len(bb.ready) > 0 }
-
-func (bb *batchBuilder) take() *vector.Batch {
-	if len(bb.ready) > 0 {
-		out := bb.ready[0]
-		bb.ready = bb.ready[1:]
-		return out
-	}
-	if bb.b == nil || bb.n == 0 {
-		return nil
-	}
-	out := bb.b
-	out.N = bb.n
-	bb.b = nil
-	bb.n = 0
-	return out
-}
+// maxPruneValues is the most distinct-or-not build keys dynamic partition
+// pruning will enumerate.
+const maxPruneValues = 10000
 
 // Next implements Operator.
 func (j *HashJoinOp) Next() (*vector.Batch, error) {
@@ -532,28 +381,70 @@ func (j *HashJoinOp) Next() (*vector.Batch, error) {
 		if err := j.build(); err != nil {
 			return nil, err
 		}
-		j.pending = newBatchBuilder(j.Types())
-	}
-	if j.graceBuild != nil {
-		return j.graceNext()
 	}
 	for {
-		if j.pending.full() {
-			out := j.pending.take()
-			j.bumpStats(out)
-			return out, nil
+		if len(j.ready) > 0 {
+			out := j.ready[0]
+			j.ready = j.ready[1:]
+			return j.bumpStats(out), nil
 		}
-		if j.leftDone {
-			// Right/full outer: emit unmatched build rows.
-			if (j.Kind == plan.Right || j.Kind == plan.Full) && !j.emittedRt {
-				j.emittedRt = true
-				for pi := range j.parts {
-					j.emitUnmatched(&j.parts[pi])
-				}
+		if j.pb != nil {
+			if err := j.probeStep(); err != nil {
+				return nil, err
 			}
-			out := j.pending.take()
-			j.bumpStats(out)
-			return out, nil
+			continue
+		}
+		if j.done {
+			out := j.out
+			if out != nil {
+				out.N, j.out = j.outN, nil
+			}
+			return j.bumpStats(out), nil
+		}
+		b, err := j.nextProbeBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			j.done = true
+			continue
+		}
+		if j.pkeys, err = evalKeys(j.LeftKeys, b, j.pkeys); err != nil {
+			return nil, err
+		}
+		j.phash = hashKeys(j.pkeys, b, j.phash[:0])
+		j.pb, j.pi, j.cur, j.carry = b, 0, -1, 0
+		if j.Kind == plan.Semi || j.Kind == plan.Anti {
+			j.sel = make([]int, 0, b.N) // leaves with the output batch
+		}
+	}
+}
+
+func (j *HashJoinOp) bumpStats(b *vector.Batch) *vector.Batch {
+	if j.Stats != nil && b != nil {
+		j.Stats.Rows.Add(int64(b.N))
+	}
+	return b
+}
+
+// nextProbeBatch returns the next batch to probe j.table with, nil when
+// none is left. In memory that is the left input; after the last batch the
+// unmatched build rows (right/full outer) are emitted. A spilled join first
+// partitions the whole probe input to scratch by key hash, then loads one
+// build partition at a time into a table and replays that partition's
+// probe rows, emitting the partition's unmatched build rows before it
+// moves on.
+func (j *HashJoinOp) nextProbeBatch() (*vector.Batch, error) {
+	if j.graceBuild == nil {
+		b, err := j.Left.Next()
+		if b == nil && err == nil {
+			j.emitUnmatched()
+		}
+		return b, err
+	}
+	for !j.leftDone {
+		if err := j.Ctx.CheckCanceled(); err != nil {
+			return nil, err
 		}
 		b, err := j.Left.Next()
 		if err != nil {
@@ -561,85 +452,24 @@ func (j *HashJoinOp) Next() (*vector.Batch, error) {
 		}
 		if b == nil {
 			j.leftDone = true
-			continue
+			err = j.flushProbeBufs()
+		} else {
+			err = j.spillProbeBatch(b)
 		}
-		if err := j.probeBatch(b); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		if out := j.pending.take(); out != nil {
-			j.bumpStats(out)
-			return out, nil
-		}
-	}
-}
-
-func (j *HashJoinOp) bumpStats(b *vector.Batch) {
-	if j.Stats != nil && b != nil {
-		j.Stats.Rows.Add(int64(b.N))
-	}
-}
-
-// graceNext drives the spilled join: first the whole probe input
-// partitions to scratch by key hash, then each partition's build rows load
-// into a one-partition hash table and its probe rows replay through the
-// ordinary probe path (len(parts) == 1, so every replayed row probes the
-// loaded partition). Right/full outer joins emit their unmatched build
-// rows per partition, right after that partition's probe finishes.
-func (j *HashJoinOp) graceNext() (*vector.Batch, error) {
-	if !j.leftDone {
-		for {
-			if err := j.Ctx.CheckCanceled(); err != nil {
-				return nil, err
-			}
-			b, err := j.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if err := j.spillProbeBatch(b); err != nil {
-				return nil, err
-			}
-		}
-		if err := j.flushProbeBufs(); err != nil {
-			return nil, err
-		}
-		j.leftDone = true
 	}
 	for {
-		if j.pending.full() {
-			out := j.pending.take()
-			j.bumpStats(out)
-			return out, nil
-		}
-		if j.partLoaded {
-			b, err := j.probePull()
-			if err != nil {
-				return nil, err
+		if j.probePull != nil {
+			if b, err := j.probePull(); b != nil || err != nil {
+				return b, err
 			}
-			if b != nil {
-				if err := j.probeBatch(b); err != nil {
-					return nil, err
-				}
-				if out := j.pending.take(); out != nil {
-					j.bumpStats(out)
-					return out, nil
-				}
-				continue
-			}
-			// Partition exhausted: emit its unmatched build rows (right/
-			// full), then drop it and its files.
-			if j.Kind == plan.Right || j.Kind == plan.Full {
-				j.emitUnmatched(&j.parts[0])
-			}
+			j.emitUnmatched()
 			j.freeGracePart()
-			continue
 		}
 		if j.gracePart >= joinSpillParts {
-			out := j.pending.take()
-			j.bumpStats(out)
-			return out, nil
+			return nil, nil
 		}
 		if err := j.loadGracePart(); err != nil {
 			return nil, err
@@ -647,53 +477,46 @@ func (j *HashJoinOp) graceNext() (*vector.Batch, error) {
 	}
 }
 
-// spillProbeBatch partitions one probe batch into per-partition buffers by
-// key hash, flushing every buffer to scratch when the governor denies the
-// growth.
+// spillProbeBatch partitions one probe batch into per-partition column
+// buffers by key hash, flushing every buffer to scratch when the governor
+// denies the growth.
 func (j *HashJoinOp) spillProbeBatch(b *vector.Batch) error {
-	keyCols := make([]*vector.Vector, len(j.LeftKeys))
-	for i, k := range j.LeftKeys {
-		v, err := k.Eval(b)
-		if err != nil {
-			return err
-		}
-		keyCols[i] = v
+	var err error
+	if j.pkeys, err = evalKeys(j.LeftKeys, b, j.pkeys); err != nil {
+		return err
 	}
-	hs := hashKeys(keyCols, b)
-	if j.probeBufs == nil {
-		j.probeBufs = make([][][]types.Datum, joinSpillParts)
+	j.phash = hashKeys(j.pkeys, b, j.phash[:0])
+	var sels [joinSpillParts][]int
+	for i, h := range j.phash {
+		sels[h%joinSpillParts] = append(sels[h%joinSpillParts], b.RowIdx(i))
 	}
 	var sz int64
-	for i := 0; i < b.N; i++ {
-		row := b.Row(i)
-		p := int(hs[i] % joinSpillParts)
-		j.probeBufs[p] = append(j.probeBufs[p], row)
-		sz += rowBytes(row)
+	for p, sel := range sels {
+		if len(sel) == 0 {
+			continue
+		}
+		if j.probeBufs[p] == nil {
+			j.probeBufs[p] = newJoinTable(j.Left.Types(), nil)
+		}
+		sz += j.probeBufs[p].appendRows(b.Cols, nil, sel, len(sel))
 	}
-	if j.res.Grow(sz) {
-		return nil
+	if !j.res.Grow(sz) {
+		// Resident either way; flush once the buffers are worth their files.
+		if j.res.ForceGrow(sz); j.res.ShouldSpill() {
+			return j.flushProbeBufs()
+		}
 	}
-	j.res.ForceGrow(sz)
-	if !j.res.ShouldSpill() {
-		return nil // too little buffered for a flush worth its files
-	}
-	return j.flushProbeBufs()
+	return nil
 }
 
 // flushProbeBufs writes every buffered probe partition to scratch and
 // frees the buffers.
 func (j *HashJoinOp) flushProbeBufs() error {
-	if j.probeBufs == nil {
-		return nil
-	}
-	if j.probeFiles == nil {
-		j.probeFiles = make([][]string, joinSpillParts)
-	}
-	for p, rows := range j.probeBufs {
-		if len(rows) == 0 {
+	for p, buf := range j.probeBufs {
+		if buf == nil {
 			continue
 		}
-		path, err := writeRunFile(j.Ctx, fmt.Sprintf("join_probe_p%02d", p), rows)
+		path, err := j.boxer.spill(j.Ctx, fmt.Sprintf("join_probe_p%02d", p), nil, buf.cols, nil, buf.n)
 		if err != nil {
 			return err
 		}
@@ -704,57 +527,42 @@ func (j *HashJoinOp) flushProbeBufs() error {
 	return nil
 }
 
-// loadGracePart rebuilds partition gracePart's hash table from its build
-// spill files (single-level Grace: one partition is assumed to fit once
+// loadGracePart decodes partition gracePart's build spill files straight
+// into a table (single-level Grace: one partition is assumed to fit once
 // loaded) and queues its probe files for replay.
 func (j *HashJoinOp) loadGracePart() error {
 	fs, _ := j.Ctx.spillTarget()
 	p := j.gracePart
-	part := buildPartition{index: make(map[uint64][]int)}
-	nk := len(j.RightKeys)
+	t := j.newTable()
+	nk := len(t.keys)
+	ts := []types.T{types.TBigint}
+	for _, k := range t.keys {
+		ts = append(ts, k.Type)
+	}
+	pull := runFilePuller(fs, j.graceBuild[p], append(ts, j.rtTypes...))
 	var bytes int64
-	for _, path := range j.graceBuild[p] {
-		r, err := spill.OpenReader(fs, path)
+	for {
+		if err := j.Ctx.CheckCanceled(); err != nil {
+			return err
+		}
+		b, err := pull()
 		if err != nil {
 			return err
 		}
-		for {
-			if err := j.Ctx.CheckCanceled(); err != nil {
-				return err
-			}
-			rows, err := r.Next()
-			if err != nil {
-				return err
-			}
-			if rows == nil {
-				break
-			}
-			for _, row := range rows {
-				if len(row) < 1+nk {
-					return fmt.Errorf("exec: truncated spilled join build row")
-				}
-				h := uint64(row[0].I)
-				idx := len(part.rows)
-				part.rows = append(part.rows, row[1+nk:])
-				part.keys = append(part.keys, row[1:1+nk])
-				part.index[h] = append(part.index[h], idx)
-				bytes += rowBytes(row)
-			}
+		if b == nil {
+			break
+		}
+		bytes += t.appendRows(b.Cols[1+nk:], b.Cols[1:1+nk], nil, b.N) + 16*int64(b.N)
+		for _, h := range b.Cols[0].I64[:b.N] {
+			t.hashes = append(t.hashes, uint64(h))
 		}
 	}
-	if j.Kind == plan.Right || j.Kind == plan.Full {
-		part.matched = make([]bool, len(part.rows))
-	}
+	t.buildIndex(1, j.outer())
 	j.res.ForceGrow(bytes)
-	j.parts = []buildPartition{part}
-	j.partLoaded = true
-	var probeFiles []string
-	if j.probeFiles != nil {
-		probeFiles = j.probeFiles[p]
-	}
+	j.table = t
 	// The partition's probe rows stream back through the shared run-file
 	// puller (merge.go), one block resident at a time.
-	j.probePull = runFilePuller(fs, probeFiles, j.Left.Types())
+	j.probePull = runFilePuller(fs, j.probeFiles[p], j.Left.Types())
 	return nil
 }
 
@@ -763,203 +571,203 @@ func (j *HashJoinOp) loadGracePart() error {
 // need them; sharedBuild removes them once at Close.
 func (j *HashJoinOp) freeGracePart() {
 	p := j.gracePart
-	if fs, ok := j.Ctx.spillTarget(); ok {
-		if j.Shared == nil {
-			for _, path := range j.graceBuild[p] {
-				fs.Remove(path, false)
-			}
-			j.graceBuild[p] = nil
-		}
-		if j.probeFiles != nil {
-			for _, path := range j.probeFiles[p] {
-				fs.Remove(path, false)
-			}
-			j.probeFiles[p] = nil
-		}
+	if j.Shared == nil {
+		j.Ctx.removeSpills(j.graceBuild[p])
+		j.graceBuild[p] = nil
 	}
-	j.parts = nil
-	j.partLoaded = false
-	j.probePull = nil
+	j.Ctx.removeSpills(j.probeFiles[p])
+	j.probeFiles[p] = nil
+	j.table, j.probePull = nil, nil
 	j.res.Release()
 	j.gracePart++
 }
 
-// emitUnmatched appends null-extended rows for the partition's unmatched
-// build rows (right/full outer).
-func (j *HashJoinOp) emitUnmatched(p *buildPartition) {
-	nullLeft := make([]types.Datum, j.leftW)
-	lt := j.Left.Types()
-	for i := range nullLeft {
-		nullLeft[i] = types.NullOf(lt[i].Kind)
+// emitUnmatched emits the table's unmatched build rows, null-extended on
+// the left (right/full outer): every left index is -1, so the left columns
+// gather NULLs out of an empty batch.
+func (j *HashJoinOp) emitUnmatched() {
+	if j.table == nil || j.table.matched == nil {
+		return
 	}
-	for i, m := range p.matched {
+	opr, obr := j.opr[:0], j.obr[:0]
+	for r, m := range j.table.matched {
 		if !m {
-			j.pending.add(append(append([]types.Datum{}, nullLeft...), p.rows[i]...))
+			opr, obr = append(opr, -1), append(obr, int32(r))
 		}
 	}
+	j.opr, j.obr = opr, obr
+	j.emit(vector.NewBatch(j.Left.Types(), 0).Cols, opr, obr)
 }
 
-func (j *HashJoinOp) probeBatch(b *vector.Batch) error {
-	keyCols := make([]*vector.Vector, len(j.LeftKeys))
-	for i, k := range j.LeftKeys {
-		v, err := k.Eval(b)
+// probeStep advances the probe of batch pb by one chunk of candidate pairs:
+// collect, filter by Residual, apply the join kind row by row, emit. It
+// clears pb when the batch is spent.
+func (j *HashJoinOp) probeStep() error {
+	b, t := j.pb, j.table
+	// Without a residual the first key match settles a semi/anti row.
+	firstOnly := j.Residual == nil && (j.Kind == plan.Semi || j.Kind == plan.Anti)
+	lo := j.pi
+	pr, br := j.pr[:0], j.br[:0]
+	for j.pi < b.N && len(pr) < pairChunk {
+		r, h, c := b.RowIdx(j.pi), j.phash[j.pi], j.cur
+		if c < 0 {
+			c = 0
+			if !anyNull(j.pkeys, r) {
+				c = t.heads[h>>t.shift]
+			}
+		}
+		for c != 0 && len(pr) < pairChunk {
+			row := c - 1
+			c = t.next[row]
+			if t.hashes[row] == h && keysEqual(j.pkeys, r, t.keys, int(row)) {
+				pr, br = append(pr, int32(r)), append(br, row)
+				if firstOnly {
+					c = 0
+				}
+			}
+		}
+		if j.cur = c; c != 0 {
+			break // chunk full mid-chain: row pi resumes next step
+		}
+		j.cur = -1
+		j.pi++
+	}
+	j.pr, j.br = pr, br
+	if j.Residual != nil && len(pr) > 0 {
+		n, err := j.filterResidual(pr, br)
 		if err != nil {
 			return err
 		}
-		keyCols[i] = v
+		pr, br = pr[:n], br[:n]
 	}
-	nested := len(j.LeftKeys) == 0
-	var hs []uint64
-	if !nested {
-		hs = hashKeys(keyCols, b)
-	}
-	for i := 0; i < b.N; i++ {
-		r := b.RowIdx(i)
-		leftRow := b.Row(i)
-		matches := 0
-		if nested {
-			for pi := range j.parts {
-				p := &j.parts[pi]
-				m, err := j.probeCandidates(p, allRows(len(p.rows)), keyCols, r, leftRow, matches)
-				if err != nil {
-					return err
-				}
-				matches = m
-				if j.Kind == plan.Semi && matches > 0 {
-					break
+
+	partial := j.cur > 0
+	opr, obr := pr, br
+	if j.Kind != plan.Inner {
+		opr, obr = j.opr[:0], j.obr[:0]
+		end, k := j.pi, 0
+		if partial {
+			end++
+		}
+		for i := lo; i < end; i++ {
+			r, m := int32(b.RowIdx(i)), 0
+			if i == lo {
+				m = j.carry
+			}
+			for ; k < len(pr) && pr[k] == r; k++ {
+				m++
+				switch {
+				case j.Kind == plan.Semi:
+					if m == 1 {
+						j.sel = append(j.sel, int(r))
+					}
+				case j.Kind == plan.Anti:
+				case j.Kind == plan.Single && m > 1:
+					return fmt.Errorf("exec: scalar subquery returned more than one row")
+				default:
+					opr, obr = append(opr, r), append(obr, br[k])
+					if t.matched != nil {
+						t.matched[br[k]] = true
+					}
 				}
 			}
-		} else {
-			nullKey := false
-			for _, kc := range keyCols {
-				if kc.IsNull(r) {
-					nullKey = true
-					break
-				}
+			if partial && i == j.pi {
+				j.carry = m
+				break
 			}
-			if !nullKey && len(j.parts) > 0 {
-				h := hs[i]
-				p := &j.parts[h%uint64(len(j.parts))]
-				m, err := j.probeCandidates(p, p.index[h], keyCols, r, leftRow, matches)
-				if err != nil {
-					return err
+			if m == 0 {
+				switch j.Kind {
+				case plan.Anti:
+					j.sel = append(j.sel, int(r))
+				case plan.Left, plan.Full, plan.Single:
+					opr, obr = append(opr, r), append(obr, -1)
 				}
-				matches = m
 			}
 		}
-		switch j.Kind {
-		case plan.Semi:
-			if matches > 0 {
-				j.pending.add(leftRow)
-			}
-		case plan.Anti:
-			if matches == 0 {
-				j.pending.add(leftRow)
-			}
-		case plan.Left, plan.Full, plan.Single:
-			if matches == 0 {
-				row := append([]types.Datum{}, leftRow...)
-				for _, t := range j.rtTypes {
-					row = append(row, types.NullOf(t.Kind))
-				}
-				j.pending.add(row)
-			}
+		if !partial {
+			j.carry = 0
 		}
+		j.opr, j.obr = opr, obr
+	}
+	j.emit(b.Cols, opr, obr)
+	if j.pi >= b.N {
+		if len(j.sel) > 0 {
+			// Semi/Anti: the input batch under a new selection, no copy.
+			j.ready = append(j.ready, &vector.Batch{Cols: b.Cols, Sel: j.sel, N: len(j.sel)})
+		}
+		j.pb, j.sel = nil, nil
 	}
 	return nil
 }
 
-// probeCandidates tests the candidate build rows of one partition against
-// a probe row, emitting matching output rows; it returns the running match
-// count for the probe row.
-func (j *HashJoinOp) probeCandidates(p *buildPartition, candidates []int, keyCols []*vector.Vector, r int, leftRow []types.Datum, matches int) (int, error) {
-	nested := len(j.LeftKeys) == 0
-	for _, ci := range candidates {
-		right := p.rows[ci]
-		if !nested && !keysEqual(keyCols, r, p.keys[ci]) {
-			continue
-		}
-		if j.Residual != nil {
-			ok, err := j.evalResidual(leftRow, right)
-			if err != nil {
-				return matches, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		matches++
-		if p.matched != nil {
-			p.matched[ci] = true
-		}
-		switch j.Kind {
-		case plan.Semi:
-			// emit left once in probeBatch
-		case plan.Anti:
-			// no emit
-		case plan.Single:
-			if matches > 1 {
-				return matches, fmt.Errorf("exec: scalar subquery returned more than one row")
-			}
-			j.pending.add(append(append([]types.Datum{}, leftRow...), right...))
-		default:
-			j.pending.add(append(append([]types.Datum{}, leftRow...), right...))
-		}
-		if j.Kind == plan.Semi {
-			break
+func anyNull(cols []*vector.Vector, r int) bool {
+	for _, c := range cols {
+		if c.IsNull(r) {
+			return true
 		}
 	}
-	return matches, nil
+	return false
 }
 
-func allRows(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func keysEqual(probeCols []*vector.Vector, r int, buildKeys []types.Datum) bool {
-	for k, kc := range probeCols {
-		pd := kc.Get(r)
-		bd := buildKeys[k]
-		if pd.Null || bd.Null || pd.Compare(bd) != 0 {
+// keysEqual compares probe row r with build row br key column by key
+// column; a NULL on either side equals nothing.
+func keysEqual(probe []*vector.Vector, r int, build []*vector.Vector, br int) bool {
+	for k, pc := range probe {
+		if !pc.EqRow(r, build[k], br) {
 			return false
 		}
 	}
 	return true
 }
 
-// evalOnRow evaluates a compiled expression against a single materialized
-// row by staging it into a one-row batch.
-func evalOnRow(e *CompiledExpr, row []types.Datum) (types.Datum, error) {
-	ts := make([]types.T, len(row))
-	for i, d := range row {
-		ts[i] = types.T{Kind: d.K}
-		if d.K == types.Decimal {
-			ts[i] = types.TDecimal(18, d.DecimalScale())
+// filterResidual evaluates Residual once over the candidate pairs, gathered
+// into the reused scratch batch, and compacts the pairs it holds for to the
+// front of pr/br, returning how many there are.
+func (j *HashJoinOp) filterResidual(pr, br []int32) (int, error) {
+	j.gatherPairs(j.scratch, 0, j.pb.Cols, pr, br)
+	j.scratch.N = len(pr)
+	v, err := j.Residual.Eval(j.scratch)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for k := range pr {
+		if !v.IsNull(k) && v.I64[k] != 0 {
+			pr[n], br[n] = pr[k], br[k]
+			n++
 		}
 	}
-	b := vector.NewBatch(ts, 1)
-	for c, d := range row {
-		b.Cols[c].Set(0, d)
-	}
-	b.N = 1
-	v, err := e.Eval(b)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	return v.Get(0), nil
+	return n, nil
 }
 
-func (j *HashJoinOp) evalResidual(left, right []types.Datum) (bool, error) {
-	combined := append(append([]types.Datum{}, left...), right...)
-	d, err := evalOnRow(j.Residual, combined)
-	if err != nil {
-		return false, err
+// gatherPairs fills dst's rows from at on with the pairs: the left columns
+// from left by pr, the build columns from the table by br, -1 giving NULL.
+func (j *HashJoinOp) gatherPairs(dst *vector.Batch, at int, left []*vector.Vector, pr, br []int32) {
+	for c, col := range dst.Cols {
+		if c < j.leftW {
+			col.Gather(at, left[c], pr)
+		} else {
+			col.Gather(at, j.table.cols[c-j.leftW], br)
+		}
 	}
-	return !d.Null && d.I != 0, nil
+}
+
+// emit gathers the output pairs into BatchSize output batches, queueing
+// each as it fills.
+func (j *HashJoinOp) emit(left []*vector.Vector, pr, br []int32) {
+	for len(pr) > 0 {
+		if j.out == nil {
+			j.out, j.outN = vector.NewBatch(j.outTypes, vector.BatchSize), 0
+		}
+		n := min(len(pr), vector.BatchSize-j.outN)
+		j.gatherPairs(j.out, j.outN, left, pr[:n], br[:n])
+		pr, br = pr[n:], br[n:]
+		if j.outN += n; j.outN == vector.BatchSize {
+			j.out.N = j.outN
+			j.ready = append(j.ready, j.out)
+			j.out = nil
+		}
+	}
 }
 
 // Close implements Operator. Any Grace spill files still on disk — the
@@ -967,27 +775,21 @@ func (j *HashJoinOp) evalResidual(left, right []types.Datum) (bool, error) {
 // removed; shared build files are removed exactly once, after the
 // exchange has finished every clone.
 func (j *HashJoinOp) Close() error {
-	if fs, ok := j.Ctx.spillTarget(); ok && j.graceBuild != nil {
-		removeBuild := func() {
-			for _, files := range j.graceBuild {
-				for _, path := range files {
-					fs.Remove(path, false)
-				}
-			}
-		}
-		if j.Shared != nil {
-			j.Shared.cleanOnce.Do(removeBuild)
-		} else {
-			removeBuild()
-		}
-		for _, files := range j.probeFiles {
-			for _, path := range files {
-				fs.Remove(path, false)
-			}
+	removeBuild := func() {
+		for _, files := range j.graceBuild {
+			j.Ctx.removeSpills(files)
 		}
 	}
-	j.parts = nil
-	j.graceBuild, j.probeBufs, j.probeFiles = nil, nil, nil
+	if j.Shared == nil {
+		removeBuild()
+	} else if j.graceBuild != nil {
+		j.Shared.cleanOnce.Do(removeBuild)
+	}
+	for _, files := range j.probeFiles {
+		j.Ctx.removeSpills(files)
+	}
+	j.table, j.pb, j.out, j.ready, j.scratch = nil, nil, nil, nil, nil
+	j.graceBuild, j.probeBufs, j.probeFiles = nil, [joinSpillParts]*joinTable{}, [joinSpillParts][]string{}
 	j.res.Release()
 	err := j.Left.Close()
 	if j.Right != nil && j.Shared == nil {

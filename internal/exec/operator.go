@@ -451,6 +451,7 @@ func DrainContext(c *Context, op Operator) ([][]types.Datum, error) {
 			return out, nil
 		}
 		for i := 0; i < b.N; i++ {
+			//lint:ignore no-row-boxing results leave the engine as [][]Datum; a columnar result set is ROADMAP item 5(b)'s last step
 			out = append(out, b.Row(i))
 		}
 	}

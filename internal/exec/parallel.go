@@ -933,7 +933,7 @@ func clonePipeline(op Operator, merges *[]statMerge) Operator {
 			Left: clonePipeline(x.Left, merges), Kind: x.Kind,
 			LeftKeys: x.LeftKeys, RightKeys: x.RightKeys, Residual: x.Residual,
 			Ctx: x.Ctx, Stats: x.Stats, Shared: x.Shared, BuildFilter: x.BuildFilter,
-			outTypes: x.outTypes, leftW: x.leftW, rightW: x.rightW, rtTypes: x.rtTypes,
+			outTypes: x.outTypes, leftW: x.leftW, rtTypes: x.rtTypes,
 		}
 	}
 	return op

@@ -184,6 +184,14 @@ func (w *testWarehouse) budgetedRun(t *testing.T, q string, budget int64) ([]str
 // time, and GROUP BY/join output order is unspecified without ORDER BY).
 func TestAggAndJoinSpillMatchesInMemory(t *testing.T) {
 	w := newTestWarehouse(t)
+	// The columnar join table holds a build row in tens of bytes, so the
+	// eight base sales rows sit under ShouldSpill's 256-byte floor: a third
+	// partition makes every build here worth a flush.
+	var more [][3]int64
+	for i := int64(0); i < 96; i++ {
+		more = append(more, [3]int64{1 + i%6, 1 + i%5, 100 * (1 + i%7)})
+	}
+	w.insertSales(3, more)
 	queries := []struct {
 		q      string
 		budget int64
@@ -194,8 +202,8 @@ func TestAggAndJoinSpillMatchesInMemory(t *testing.T) {
 		   WHERE sales.item_sk = items.item_sk GROUP BY category`, 600},
 		{`SELECT name, qty FROM items LEFT JOIN sales ON items.item_sk = sales.item_sk`, 600},
 		{`SELECT name FROM items WHERE EXISTS (SELECT 1 FROM sales WHERE sales.item_sk = items.item_sk)`, 600},
-		// The filtered anti-join build is 2 rows; a lower budget still
-		// forces it to Grace-partition.
+		// The filtered anti-join build is the smallest; a lower budget
+		// still forces it to Grace-partition.
 		{`SELECT name FROM items WHERE NOT EXISTS (SELECT 1 FROM sales WHERE sales.item_sk = items.item_sk AND qty > 3)`, 200},
 		{`SELECT name, qty FROM items RIGHT JOIN sales ON items.item_sk = sales.item_sk`, 600},
 		{`SELECT name, qty FROM items FULL JOIN sales ON items.item_sk = sales.item_sk`, 600},

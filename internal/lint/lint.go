@@ -42,6 +42,7 @@ func Analyzers() []*Analyzer {
 		NoAliasEscape,
 		CloseAndCancel,
 		ConfKnobRegistry,
+		NoRowBoxing,
 	}
 }
 

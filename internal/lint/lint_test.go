@@ -18,6 +18,7 @@ var fixtureAnalyzers = map[string]*Analyzer{
 	"alias":       NoAliasEscape,
 	"closecancel": CloseAndCancel,
 	"knobs":       ConfKnobRegistry,
+	"rowboxing":   NoRowBoxing,
 }
 
 var wantRe = regexp.MustCompile(`// want "([^"]+)"`)

@@ -290,6 +290,12 @@ func (m *MetadataCache) Hits() int64 { return m.hits.Load() }
 // containers.
 type Daemons struct {
 	slots chan struct{}
+	// multi serializes the acquirers of more than one slot. Slots are
+	// taken one receive at a time, so two such acquirers side by side could
+	// each hold part of the pool and wait for ever on the rest; behind the
+	// mutex only one waits at a time, and only on slots held by running
+	// fragments, which release without taking any lock.
+	multi sync.Mutex
 }
 
 // NewDaemons starts a pool with the given total executor count.
@@ -302,13 +308,20 @@ func NewDaemons(executors int) *Daemons {
 }
 
 // Acquire takes n executors, blocking until available; the returned
-// function releases them.
+// function releases them. Acquisition is all-or-nothing with respect to
+// other blocking acquirers: no two of them ever hold a partial grant.
 func (d *Daemons) Acquire(n int) (release func()) {
 	if n > cap(d.slots) {
 		n = cap(d.slots)
 	}
+	if n > 1 {
+		d.multi.Lock()
+	}
 	for i := 0; i < n; i++ {
 		<-d.slots
+	}
+	if n > 1 {
+		d.multi.Unlock()
 	}
 	return func() {
 		for i := 0; i < n; i++ {

@@ -143,3 +143,199 @@ func TestQuickBigintRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// kernelVectors returns one populated vector per representation, nulls at
+// every third row.
+func kernelVectors(n int) []*Vector {
+	vs := []*Vector{New(types.TBigint, n), New(types.TDouble, n), New(types.TString, n), New(types.TDecimal(9, 2), n), New(types.TDate, n)}
+	for _, v := range vs {
+		for i := 0; i < n; i++ {
+			switch {
+			case i%3 == 2:
+				v.SetNull(i)
+			case v.Type.Kind == types.Float64:
+				v.F64[i] = float64(i) / 2
+			case v.Type.Kind == types.String:
+				v.Str[i] = string(rune('a' + i%26))
+			default:
+				v.I64[i] = int64(i * 7)
+			}
+		}
+	}
+	return vs
+}
+
+func sameRow(a *Vector, i int, b *Vector, j int) bool {
+	x, y := a.Get(i), b.Get(j)
+	return x.Null == y.Null && (x.Null || x.Compare(y) == 0)
+}
+
+func TestAppendRowsAndGather(t *testing.T) {
+	sel := []int{5, 0, 7, 2, 2}
+	for _, src := range kernelVectors(8) {
+		dst := New(src.Type, 0)
+		if got := dst.AppendRows(src, nil, 3); got < 3*8 {
+			t.Errorf("%s: AppendRows reports %d bytes for 3 rows", src.Type, got)
+		}
+		dst.AppendRows(src, sel, len(sel))
+		want := append([]int{0, 1, 2}, sel...)
+		if dst.Len() != len(want) {
+			t.Fatalf("%s: appended length %d, want %d", src.Type, dst.Len(), len(want))
+		}
+		for i, r := range want {
+			if !sameRow(dst, i, src, r) {
+				t.Errorf("%s: appended row %d = %v, want source row %d = %v", src.Type, i, dst.Get(i), r, src.Get(r))
+			}
+		}
+
+		// Gather overwrites a reused vector completely: values, NULLs from
+		// the source, NULLs from negative indexes, and stale NULL flags.
+		out := New(src.Type, 6)
+		for i := 0; i < 6; i++ {
+			out.SetNull(i)
+		}
+		idx := []int32{4, -1, 2, 0}
+		out.Gather(1, src, idx)
+		for k, r := range idx {
+			if r < 0 {
+				if !out.IsNull(1 + k) {
+					t.Errorf("%s: negative index gathered %v, want NULL", src.Type, out.Get(1+k))
+				}
+			} else if !sameRow(out, 1+k, src, int(r)) {
+				t.Errorf("%s: gathered row %d = %v, want %v", src.Type, k, out.Get(1+k), src.Get(int(r)))
+			}
+		}
+		if !out.IsNull(0) || !out.IsNull(5) {
+			t.Errorf("%s: Gather wrote outside its range", src.Type)
+		}
+	}
+	// A fresh destination without a null mask gets one only when needed.
+	src := kernelVectors(8)[0]
+	out := New(types.TBigint, 2)
+	out.Gather(0, src, []int32{0, 1})
+	if out.Nulls != nil && (out.Nulls[0] || out.Nulls[1]) {
+		t.Error("gathering non-null rows produced NULLs")
+	}
+	out.Gather(0, New(types.TBigint, 0), []int32{-1, -1})
+	if !out.IsNull(0) || !out.IsNull(1) {
+		t.Error("gathering -1 from an empty vector should null-extend")
+	}
+}
+
+// Mismatched representations convert exactly like Set(Get()).
+func TestAppendRowsAndGatherConvert(t *testing.T) {
+	src := New(types.TDecimal(9, 1), 2)
+	src.I64[0], src.I64[1] = 15, 20 // 1.5, 2.0
+	dst := New(types.TDecimal(9, 3), 0)
+	dst.AppendRows(src, nil, 2)
+	if dst.I64[0] != 1500 || dst.I64[1] != 2000 {
+		t.Errorf("append rescale: %v", dst.I64)
+	}
+	f := New(types.TDouble, 2)
+	f.Gather(0, src, []int32{1, 0})
+	if f.F64[0] != 2.0 || f.F64[1] != 1.5 {
+		t.Errorf("gather decimal into double: %v", f.F64)
+	}
+}
+
+func TestEqRowMatchesDatumCompare(t *testing.T) {
+	a, b := kernelVectors(9), kernelVectors(9)
+	// Mixed kinds too: INT vs BIGINT raw, BIGINT vs DECIMAL and DOUBLE by
+	// value, scales that differ.
+	ints := New(types.TInt, 9)
+	dec1 := New(types.TDecimal(9, 1), 9)
+	for i := 0; i < 9; i++ {
+		ints.I64[i] = int64(i * 7)
+		dec1.I64[i] = int64(i * 70)
+	}
+	pairs := [][2]*Vector{{ints, a[0]}, {a[0], dec1}, {dec1, a[3]}, {a[1], a[0]}}
+	for k := range a {
+		pairs = append(pairs, [2]*Vector{a[k], b[k]})
+	}
+	for _, p := range pairs {
+		for i := 0; i < 9; i++ {
+			for j := 0; j < 9; j++ {
+				x, y := p[0].Get(i), p[1].Get(j)
+				want := !x.Null && !y.Null && x.Compare(y) == 0
+				if got := p[0].EqRow(i, p[1], j); got != want {
+					t.Errorf("%s[%d]=%v vs %s[%d]=%v: EqRow %v, want %v", p[0].Type, i, x, p[1].Type, j, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Kernel microbenchmarks (ROADMAP item 1, per layer): the three kernels the
+// columnar hash join is made of, per row.
+
+func benchKernel(b *testing.B, rows int, run func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+func BenchmarkGather(b *testing.B) {
+	const table = 1 << 16
+	idx := make([]int32, BatchSize)
+	for i := range idx {
+		idx[i] = int32(i * 7919 % table)
+	}
+	for _, t := range []types.T{types.TBigint, types.TString} {
+		src := New(t, table)
+		for i := 0; i < table; i++ {
+			src.Set(i, types.Datum{K: t.Kind, I: int64(i), S: "v"})
+		}
+		dst := New(t, BatchSize)
+		b.Run(t.String(), func(b *testing.B) {
+			benchKernel(b, BatchSize, func() { dst.Gather(0, src, idx) })
+		})
+	}
+}
+
+func BenchmarkAppendRows(b *testing.B) {
+	sel := make([]int, BatchSize/2)
+	for i := range sel {
+		sel[i] = 2 * i
+	}
+	src := New(types.TBigint, BatchSize)
+	for _, c := range []struct {
+		name string
+		sel  []int
+		n    int
+	}{{"dense", nil, BatchSize}, {"selected", sel, len(sel)}} {
+		b.Run(c.name, func(b *testing.B) {
+			dst := New(types.TBigint, 0)
+			benchKernel(b, c.n, func() {
+				if dst.Len() >= 1<<20 {
+					dst = New(types.TBigint, 0)
+				}
+				dst.AppendRows(src, c.sel, c.n)
+			})
+		})
+	}
+}
+
+var eqSink int
+
+func BenchmarkEqRow(b *testing.B) {
+	for _, t := range []types.T{types.TBigint, types.TString} {
+		x, y := New(t, BatchSize), New(t, BatchSize)
+		for i := 0; i < BatchSize; i++ {
+			d := types.Datum{K: t.Kind, I: int64(i % 64), S: "key-0123"}
+			x.Set(i, d)
+			y.Set(i, d)
+		}
+		b.Run(t.String(), func(b *testing.B) {
+			benchKernel(b, BatchSize, func() {
+				for i := 0; i < BatchSize; i++ {
+					if x.EqRow(i, y, i) {
+						eqSink++
+					}
+				}
+			})
+		})
+	}
+}

@@ -91,7 +91,12 @@ func TestWindowRegressionSerialVsParallel(t *testing.T) {
 	queries := []string{
 		// Multiple functions over one partition spec: a single shared pass.
 		`SELECT g, k, v, SUM(v) OVER (PARTITION BY g ORDER BY k), COUNT(*) OVER (PARTITION BY g ORDER BY k),
-		        MIN(v) OVER (PARTITION BY g ORDER BY k), row_number() OVER (PARTITION BY g ORDER BY k)
+		        MIN(v) OVER (PARTITION BY g ORDER BY k)
+		   FROM w ORDER BY g, k, v, s`,
+		// row_number needs a total order: among rows tied on the window
+		// ORDER BY it numbers in arrival order, which a parallel scan does
+		// not fix ((g, k, v, s) is unique in this table).
+		`SELECT g, k, v, s, row_number() OVER (PARTITION BY g ORDER BY k, v, s)
 		   FROM w ORDER BY g, k, v, s`,
 		// rank vs dense_rank on a tie-heavy DESC key.
 		`SELECT g, k, rank() OVER (PARTITION BY g ORDER BY k DESC), dense_rank() OVER (PARTITION BY g ORDER BY k DESC)
