@@ -157,6 +157,28 @@ func TestUnpartitionedStripeParallelism(t *testing.T) {
 	}
 }
 
+// createOrdTable loads the six-delta ord table: several insert transactions
+// -> several delta files -> stripe morsels, with NULLs interleaved through
+// every run.
+func createOrdTable(s *Session) {
+	s.MustExec(`CREATE TABLE ord (k BIGINT, nv BIGINT, grp INT, tag STRING)`)
+	for batch := 0; batch < 6; batch++ {
+		ins := "INSERT INTO ord VALUES "
+		for i := 0; i < 80; i++ {
+			k := batch*80 + i
+			if i > 0 {
+				ins += ", "
+			}
+			nv := fmt.Sprint(k % 13)
+			if k%7 == 0 {
+				nv = "NULL"
+			}
+			ins += fmt.Sprintf("(%d, %s, %d, 't%04d')", k, nv, k%5, k)
+		}
+		s.MustExec(ins)
+	}
+}
+
 // TestParallelOrderByMatchesSerial is the PR 3 ordering regression: ORDER
 // BY and ORDER BY ... LIMIT results must be byte-identical between serial
 // execution (hive.parallelism=1) and parallel runs at DOP 1/2/4/8 — in
@@ -172,23 +194,7 @@ func TestParallelOrderByMatchesSerial(t *testing.T) {
 	}
 	defer wh.Close()
 	s := wh.Session()
-	s.MustExec(`CREATE TABLE ord (k BIGINT, nv BIGINT, grp INT, tag STRING)`)
-	// Several insert transactions -> several delta files -> stripe morsels.
-	for batch := 0; batch < 6; batch++ {
-		ins := "INSERT INTO ord VALUES "
-		for i := 0; i < 80; i++ {
-			k := batch*80 + i
-			if i > 0 {
-				ins += ", "
-			}
-			nv := fmt.Sprint(k % 13)
-			if k%7 == 0 {
-				nv = "NULL" // NULLs interleaved through every run
-			}
-			ins += fmt.Sprintf("(%d, %s, %d, 't%04d')", k, nv, k%5, k)
-		}
-		s.MustExec(ins)
-	}
+	createOrdTable(s)
 	s.SetConf("hive.query.results.cache.enabled", "false")
 
 	queries := []string{

@@ -18,6 +18,14 @@ func windowWarehouse(t *testing.T, rows int) (*Warehouse, *Session) {
 	}
 	t.Cleanup(func() { wh.Close() })
 	s := wh.Session()
+	createWindowTable(s, rows)
+	s.SetConf("hive.query.results.cache.enabled", "false")
+	return wh, s
+}
+
+// createWindowTable loads w: k repeats heavily within each partition g
+// (peer groups), and every 11th k is NULL.
+func createWindowTable(s *Session, rows int) {
 	s.MustExec(`CREATE TABLE w (g INT, k INT, v BIGINT, s STRING)`)
 	for batch := 0; batch < (rows+99)/100; batch++ {
 		var b strings.Builder
@@ -31,8 +39,6 @@ func windowWarehouse(t *testing.T, rows int) (*Warehouse, *Session) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			// k repeats heavily within each partition (peer groups), and
-			// every 11th k is NULL.
 			if r%11 == 3 {
 				fmt.Fprintf(&b, "(%d, NULL, %d, 'x%d')", r%7, (r*31)%83, r%19)
 			} else {
@@ -41,8 +47,6 @@ func windowWarehouse(t *testing.T, rows int) (*Warehouse, *Session) {
 		}
 		s.MustExec(b.String())
 	}
-	s.SetConf("hive.query.results.cache.enabled", "false")
-	return wh, s
 }
 
 // TestWindowPeerRowsSharedFrame is the RANGE-frame regression: with the
