@@ -14,8 +14,8 @@ vet:
 
 # lint builds and runs hivelint (cmd/hivelint), the repo-invariant
 # static-analysis suite: reservation-balance, snapshot-pinning,
-# no-alias-escape, close-and-cancel, conf-knob-registry and no-row-boxing
-# analyzers over every package. Any unsuppressed finding fails check; deliberate
+# no-alias-escape, close-and-cancel, conf-knob-registry, no-row-boxing and
+# operator-node analyzers over every package. Any unsuppressed finding fails check; deliberate
 # exceptions carry //lint:ignore <analyzer> <reason> annotations, and the
 # golden-diagnostic fixtures for each analyzer run under `make test`
 # (go test ./internal/lint).
@@ -43,11 +43,14 @@ spill:
 
 # props reruns the property-planning gate (PR 7): the plan/exec unit
 # tests for delivered-property derivation, enforcer elision and window
-# group planning, plus the end-to-end golden-EXPLAIN and byte-identity
-# suite that proves hive.planner.properties=true produces the same
-# bytes as the enforcer-everywhere plans at DOP 1/2/4.
+# group planning, the node-contract tests (a toy operator carried through
+# every pass, the DAG shape of every operator kind), plus the end-to-end
+# suite: the byte-for-byte golden of the physical plans across modes, DOPs
+# and properties on/off, the MR plan rendering below its stage boundaries,
+# and the byte-identity checks that prove hive.planner.properties=true
+# produces the same bytes as the enforcer-everywhere plans at DOP 1/2/4.
 props:
-	$(GO) test -run 'Props|OrderingSatisfies|PartitioningSatisfies|OrderingCoversSet|ApplyProperties|PushSortThroughWindow|WindowSortSatisfied|PlanWindowGroups|DeliveredProps|ExplainPhysical' ./internal/plan ./internal/exec .
+	$(GO) test -run 'Props|OrderingSatisfies|PartitioningSatisfies|OrderingCoversSet|ApplyProperties|PushSortThroughWindow|WindowSortSatisfied|PlanWindowGroups|DeliveredProps|ExplainPhysical|NodeContract|WithoutContract|AnalyzeCounts|MRSpillsBelow|PhysicalPlanGolden|MRPlanRenders' ./internal/plan ./internal/exec ./internal/dag .
 
 # serve is the hot-path serving gate (PR 8): literal parameterization and
 # digest tests, plan-cache and rewritten result-cache unit suites (the

@@ -173,7 +173,8 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // merged through the loser tree, and hash-partitioned aggregate partials
 // re-aggregated partition at a time. The unlimited variants of the same
 // queries are the no-spill baselines the budgeted runs are compared
-// against (BENCH_PR4.json).
+// against. The measured numbers are `go run ./benchmark -workload
+// spill_budget`.
 func BenchmarkBeyondMemory(b *testing.B) {
 	cases := []struct {
 		name, sql string
@@ -447,8 +448,8 @@ func BenchmarkAblationCompaction(b *testing.B) {
 // (PR 7) by running each shape with hive.planner.properties on and off at
 // a fixed DOP — the win is work elided (sorts skipped, partition passes
 // shared, exchanges and shared hash builds dropped), so it shows even on a
-// single core. New BenchmarkParallelSpeedup-style cases; results recorded
-// in BENCH_PR7.json.
+// single core. BenchmarkParallelSpeedup-style cases; nothing here is
+// recorded — the repository's numbers come from `go run ./benchmark`.
 func BenchmarkPropertyPlanning(b *testing.B) {
 	// The window paydays elide string-keyed sorts, so they run over a
 	// wide item dimension (string sort keys, few large partitions) with no
@@ -524,8 +525,8 @@ func BenchmarkPropertyPlanning(b *testing.B) {
 // (no parsing or planning at all). The result cache is off in every mode
 // and the literal rotates each iteration, so the delta is compilation
 // elided, not rows remembered. On the EXECUTE path LastCompileNanos must
-// be exactly zero; the benchmark asserts it. Results recorded in
-// BENCH_PR8.json.
+// be exactly zero; the benchmark asserts it. The serving path's measured
+// numbers are `go run ./benchmark -workload serve_point`.
 func BenchmarkPreparedServing(b *testing.B) {
 	// Serving shape: hot data is small and the query is compile-heavy (a
 	// 4-way join the optimizer must reorder), so per-query planning is a

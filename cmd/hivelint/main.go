@@ -1,6 +1,6 @@
 // hivelint runs the repo's invariant analyzers (reservation-balance,
 // snapshot-pinning, no-alias-escape, close-and-cancel, conf-knob-registry,
-// no-row-boxing) over the whole module and exits non-zero on any finding.
+// no-row-boxing, operator-node) over the whole module and exits non-zero on any finding.
 // Wired into `make lint` / `make check`.
 //
 // Usage: hivelint [-list] [module-root]

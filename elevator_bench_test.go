@@ -21,7 +21,8 @@ package hive
 //     overlap — workers hint upcoming morsels, elevator threads absorb
 //     seek latency ahead of the consumers — not cache residency.
 //
-// Results recorded in BENCH_PR9.json; repro commands there.
+// Rerun with `go test -run xxx -bench BenchmarkElevator .`; the measured
+// scan-bound numbers are `go run ./benchmark -workload scan_cold`.
 
 import (
 	"fmt"

@@ -1,8 +1,8 @@
 // Package bench contains the workload generators and harnesses that
 // regenerate every table and figure of the paper's evaluation (§7):
 // a TPC-DS-derived workload for Figure 7 and Table 1, and the Star-Schema
-// Benchmark for Figure 8. Scales are laptop-sized; EXPERIMENTS.md records
-// how the measured shapes compare with the paper's cluster numbers.
+// Benchmark for Figure 8. Scales are laptop-sized: the shapes are
+// comparable with the paper's cluster numbers, the magnitudes are not.
 package bench
 
 import (

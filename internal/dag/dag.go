@@ -12,6 +12,7 @@ package dag
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dfs"
@@ -44,69 +45,40 @@ type DAG struct {
 	Breakers int // pipeline breakers = shuffle boundaries
 }
 
-// Analyze derives the DAG shape of an operator tree.
+// Analyze derives the DAG shape of an operator tree from what each operator
+// says of its own stage (exec.Node). An operator that is not a Node, or is a
+// placement (made after the shape is fixed), counts nothing.
 func Analyze(op exec.Operator) DAG {
 	d := DAG{}
-	var walk func(o exec.Operator)
-	walk = func(o exec.Operator) {
-		switch x := o.(type) {
-		case *exec.ScanOp:
-			d.Vertices++
-		case *exec.HashJoinOp:
-			d.Vertices++
-			d.Breakers++
-			walk(x.Left)
-			walk(x.Right)
-			return
-		case *exec.HashAggOp:
-			d.Vertices++
-			d.Breakers++
-			walk(x.Input)
-			return
-		case *exec.SortOp:
-			d.Vertices++
-			d.Breakers++
-			walk(x.Input)
-			return
-		case *exec.TopNOp:
-			d.Vertices++
-			d.Breakers++
-			walk(x.Input)
-			return
-		case *exec.WindowOp:
-			d.Vertices++
-			d.Breakers++
-			walk(x.Input)
-			return
-		case *exec.SetOpOp:
-			d.Breakers++
-			walk(x.Left)
-			walk(x.Right)
-			return
-		case *exec.FilterOp:
-			walk(x.Input)
-			return
-		case *exec.ProjectOp:
-			walk(x.Input)
-			return
-		case *exec.LimitOp:
-			walk(x.Input)
-			return
-		case *exec.UnionAllOp:
-			for _, in := range x.Inputs {
-				walk(in)
-			}
-			return
-		case *exec.SpoolOp:
-			walk(x.Input)
-			return
-		}
-	}
-	walk(op)
+	d.walk(op)
 	if d.Vertices == 0 {
 		d.Vertices = 1
 	}
 	return d
+}
+
+func (d *DAG) walk(op exec.Operator) {
+	n, ok := op.(exec.Node)
+	if !ok {
+		return
+	}
+	stage := n.Stage()
+	if stage&exec.StagePlaced != 0 {
+		return
+	}
+	if stage&exec.StageVertex != 0 {
+		d.Vertices++
+	}
+	if stage&exec.StageBreaker != 0 {
+		d.Breakers++
+	}
+	for i := 0; ; i++ {
+		c := n.Child(i)
+		if c == nil {
+			return
+		}
+		d.walk(*c)
+	}
 }
 
 // Runner executes an operator tree under a runtime mode, charging the
@@ -123,36 +95,12 @@ type Runner struct {
 	ScratchDir string
 	// Daemons, in LLAP mode, is the persistent executor pool.
 	Daemons *llap.Daemons
-	// DOP is the intra-query degree of parallelism (hive.parallelism).
-	// In LLAP mode, fragments fan out across executor slots morsel-style;
-	// MR and container modes stay serial, reproducing the paper's
-	// single-threaded-per-task baselines.
-	DOP int
-	// Ctx is the execution context parallel operators borrow executor
-	// slots through.
+	// Ctx is the execution context. The planner options live there and are
+	// read from it: Ctx.DOP (LLAP-mode fragments fan out across executor
+	// slots morsel-style; MR and container modes stay serial, reproducing
+	// the paper's single-threaded-per-task baselines), Ctx.TargetStripes
+	// and Ctx.PropsPlanning. A nil Ctx runs serial with properties on.
 	Ctx *exec.Context
-	// TargetStripes bounds the stripes per morsel when LLAP-mode plans
-	// refine directory splits into stripe-granular scan ranges
-	// (hive.split.target.stripes; paper §5.1). 0 means one stripe per
-	// morsel.
-	TargetStripes int
-	// SerialSort keeps Sort/TopN on the coordinator even in LLAP-mode
-	// parallel plans (hive.sort.parallel=false). The zero value leaves
-	// the parallel placement on — per-worker sorted runs streamed through
-	// an order-preserving loser-tree merge — matching exec.NewContext, so
-	// callers that never heard of the knob get the default behavior.
-	SerialSort bool
-	// SerialSpool keeps spooled (shared-work) subtrees out of worker
-	// pipelines (hive.spool.parallel=false). Zero value = spools may feed
-	// parallel regions through a shared consumption cursor, matching
-	// exec.NewContext.
-	SerialSpool bool
-	// NoProps disables property-driven planning
-	// (hive.planner.properties=false): no enforcer elision, no
-	// partition-wise placements — the enforcer-everywhere plans, kept for
-	// byte-identity testing. Zero value = properties on, matching
-	// exec.NewContext.
-	NoProps bool
 
 	spillSeq     int
 	parallelized bool
@@ -173,10 +121,7 @@ func (r *Runner) Prepare(op exec.Operator) (exec.Operator, DAG) {
 			r.Ctx.ScratchDir = r.ScratchDir
 		}
 	}
-	if r.Ctx != nil {
-		r.Ctx.PropsPlanning = !r.NoProps
-	}
-	if !r.NoProps {
+	if r.Ctx == nil || r.Ctx.PropsPlanning {
 		// Property pass before anything mode-specific: elided enforcers
 		// never reach the DAG shape, the spill instrumentation or the
 		// parallel planner.
@@ -186,17 +131,12 @@ func (r *Runner) Prepare(op exec.Operator) (exec.Operator, DAG) {
 	if r.Mode == ModeMR && r.FS != nil {
 		op = r.insertSpills(op)
 	}
-	if r.Mode == ModeLLAP && r.DOP > 1 {
+	if r.Mode == ModeLLAP && r.Ctx != nil {
 		// Stripe-granular split enumeration happens inside Parallelize,
 		// once, on the coordinator: every worker then steals (file, stripe
 		// range) morsels and reads them through the shared per-directory
 		// snapshot handle carried in the splits.
-		if r.Ctx != nil {
-			r.Ctx.TargetStripes = r.TargetStripes
-			r.Ctx.SortParallel = !r.SerialSort
-			r.Ctx.SpoolParallel = !r.SerialSpool
-		}
-		op, r.parallelized = exec.Parallelize(op, r.Ctx, r.DOP)
+		op, r.parallelized = exec.Parallelize(op, r.Ctx, r.Ctx.DOP)
 	}
 	return op, d
 }
@@ -243,34 +183,15 @@ func (r *Runner) Run(op exec.Operator, d DAG) ([][]types.Datum, error) {
 // insertSpills wraps every pipeline breaker's inputs with a DFS
 // materialization, reproducing MapReduce's stage-by-stage execution.
 func (r *Runner) insertSpills(op exec.Operator) exec.Operator {
-	switch x := op.(type) {
-	case *exec.HashJoinOp:
-		x.Left = r.spill(r.insertSpills(x.Left))
-		x.Right = r.spill(r.insertSpills(x.Right))
-	case *exec.HashAggOp:
-		x.Input = r.spill(r.insertSpills(x.Input))
-	case *exec.SortOp:
-		x.Input = r.spill(r.insertSpills(x.Input))
-	case *exec.TopNOp:
-		x.Input = r.spill(r.insertSpills(x.Input))
-	case *exec.WindowOp:
-		x.Input = r.spill(r.insertSpills(x.Input))
-	case *exec.SetOpOp:
-		x.Left = r.spill(r.insertSpills(x.Left))
-		x.Right = r.spill(r.insertSpills(x.Right))
-	case *exec.FilterOp:
-		x.Input = r.insertSpills(x.Input)
-	case *exec.ProjectOp:
-		x.Input = r.insertSpills(x.Input)
-	case *exec.LimitOp:
-		x.Input = r.insertSpills(x.Input)
-	case *exec.UnionAllOp:
-		for i, in := range x.Inputs {
-			x.Inputs[i] = r.insertSpills(in)
+	n, ok := op.(exec.Node)
+	breaker := ok && n.Stage()&exec.StageBreaker != 0
+	exec.RewriteInputs(op, func(in exec.Operator) exec.Operator {
+		in = r.insertSpills(in)
+		if breaker {
+			in = r.spill(in)
 		}
-	case *exec.SpoolOp:
-		x.Input = r.insertSpills(x.Input)
-	}
+		return in
+	})
 	return op
 }
 
@@ -332,11 +253,7 @@ func (s *SpillExchangeOp) materialize() error {
 		return err
 	}
 	s.rows, err = spill.DecodeRows(back)
-	if err != nil {
-		return err
-	}
-	_ = rows
-	return nil
+	return err
 }
 
 // Next implements exec.Operator.
@@ -370,3 +287,18 @@ func (s *SpillExchangeOp) Close() error {
 	s.rows = nil
 	return s.Input.Close()
 }
+
+// Child implements exec.Node.
+func (s *SpillExchangeOp) Child(i int) *exec.Operator {
+	if i == 0 {
+		return &s.Input
+	}
+	return nil
+}
+
+// Describe implements exec.Node.
+func (s *SpillExchangeOp) Describe(b *strings.Builder) { b.WriteString("SpillExchange") }
+
+// Stage implements exec.Node: the handoff is not itself a breaker — it sits
+// on a breaker's input, placed there after the DAG shape was taken.
+func (s *SpillExchangeOp) Stage() exec.Stage { return exec.StagePlaced }

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -465,6 +468,33 @@ func (a *HashAggOp) Close() error {
 	a.sink.close()
 	a.sink = nil
 	return a.Input.Close()
+}
+
+// Child implements Node.
+func (a *HashAggOp) Child(i int) *Operator { return oneChild(i, &a.Input) }
+
+// Describe implements Node.
+func (a *HashAggOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "HashAgg groups=%d", len(a.GroupExprs))
+}
+
+// Stage implements Node.
+func (a *HashAggOp) Stage() Stage { return StageVertex | StageBreaker }
+
+// Delivers implements the property fact.
+func (a *HashAggOp) Delivers() plan.Properties { return groupsUnique(a.GroupExprs, a.GroupingSets) }
+
+// groupsUnique is what a grouped aggregation delivers: one row per distinct
+// group key, unless grouping sets repeat keys across sets.
+func groupsUnique(groups []*CompiledExpr, sets [][]int) plan.Properties {
+	if sets != nil || len(groups) == 0 {
+		return plan.Properties{}
+	}
+	key := make([]int, len(groups))
+	for i := range key {
+		key[i] = i
+	}
+	return plan.Properties{Unique: [][]int{key}}
 }
 
 // CompileAggs compiles plan aggregate calls.

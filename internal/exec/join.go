@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -798,4 +799,52 @@ func (j *HashJoinOp) Close() error {
 		}
 	}
 	return err
+}
+
+// Child implements Node: the probe side, then the build side wherever the
+// planner left it.
+func (j *HashJoinOp) Child(i int) *Operator {
+	if j.Shared != nil {
+		return twoChildren(i, &j.Left, &j.Shared.right)
+	}
+	return twoChildren(i, &j.Left, &j.Right)
+}
+
+// Describe implements Node.
+func (j *HashJoinOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "HashJoin kind=%s", j.Kind)
+	if j.Shared != nil {
+		b.WriteString(" shared-build")
+	}
+}
+
+// Stage implements Node.
+func (j *HashJoinOp) Stage() Stage { return StageVertex | StageBreaker }
+
+// Delivers implements the property fact: the probe pipeline emits left rows
+// (expanded by matches) in left order with left ordinals unchanged for the
+// kinds whose output leads with — or is exactly — the left row, so the left
+// stream's partitioning survives.
+func (j *HashJoinOp) Delivers() plan.Properties {
+	switch j.Kind {
+	case plan.Inner, plan.Left, plan.Semi, plan.Anti:
+		return plan.Properties{Partitioning: DeliveredProps(j.Left).Partitioning}
+	}
+	return plan.Properties{}
+}
+
+func (j *HashJoinOp) streamed() Operator {
+	if j.Kind == plan.Right || j.Kind == plan.Full || len(j.LeftKeys) == 0 {
+		return nil
+	}
+	return j.Left
+}
+
+func (j *HashJoinOp) cloneOver(in Operator) Operator {
+	return &HashJoinOp{
+		Left: in, Right: j.Right, Kind: j.Kind,
+		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
+		Ctx: j.Ctx, Stats: j.Stats, Shared: j.Shared, BuildFilter: j.BuildFilter,
+		outTypes: j.outTypes, leftW: j.leftW, rtTypes: j.rtTypes,
+	}
 }

@@ -222,7 +222,7 @@ func runJoinOracle(t *testing.T, rng *rand.Rand) (spilledCases int) {
 						for _, budget := range []int64{0, 2048} {
 							for _, shared := range []bool{false, true} {
 								if shared && (kind == plan.Right || kind == plan.Full || len(keys) == 0) {
-									continue // never cloned (parallelizer.clonable)
+									continue // never cloned (HashJoinOp.streamed)
 								}
 								c := oracleCase{kind, keys, residual, dop, budget, shared}
 								got, err, spilled := runOracleCase(t, c, in.left, in.right, in.batch)

@@ -14,6 +14,9 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/dfs"
 	"repro/internal/plan"
 	"repro/internal/spill"
@@ -432,6 +435,21 @@ func (m *MergeOp) Close() error {
 	return closeWorkers(m.Workers, m.merges)
 }
 
+// Child implements Node.
+func (m *MergeOp) Child(i int) *Operator { return nthChild(i, m.Workers) }
+
+// Describe implements Node.
+func (m *MergeOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "MergeExchange workers=%d keys=%s", len(m.Workers), sortKeysDigest(m.Keys))
+}
+
+// Stage implements Node.
+func (m *MergeOp) Stage() Stage { return StagePlaced }
+
+// Delivers implements the property fact: the loser-tree merge preserves the
+// per-run order globally.
+func (m *MergeOp) Delivers() plan.Properties { return plan.Properties{Ordering: m.Keys} }
+
 // ParallelTopNOp is the two-phase parallel TopN: every worker pipeline
 // feeds a thread-local bounded heap of its best rows (the LIMIT — plus any
 // OFFSET — pushed into the run), and the per-worker survivors merge
@@ -514,3 +532,17 @@ func (t *ParallelTopNOp) Close() error {
 	t.rows = nil
 	return closeWorkers(t.Workers, t.merges)
 }
+
+// Child implements Node.
+func (t *ParallelTopNOp) Child(i int) *Operator { return nthChild(i, t.Workers) }
+
+// Describe implements Node.
+func (t *ParallelTopNOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "ParallelTopN workers=%d n=%d keys=%s", len(t.Workers), t.N, sortKeysDigest(t.Keys))
+}
+
+// Stage implements Node.
+func (t *ParallelTopNOp) Stage() Stage { return StagePlaced }
+
+// Delivers implements the property fact.
+func (t *ParallelTopNOp) Delivers() plan.Properties { return plan.Properties{Ordering: t.Keys} }

@@ -322,9 +322,8 @@ func TestTopNZeroShortCircuits(t *testing.T) {
 
 // TestParallelizePlacesSortBelowExchange checks the planner rewrites: Sort
 // over a clonable pipeline becomes a MergeOp whose workers are per-run
-// sorts, TopN becomes a ParallelTopNOp, an unfused Limit-over-Sort gets the
-// limit pushed into per-worker runs, and the hive.sort.parallel=false knob
-// keeps the coordinator sort.
+// sorts, TopN becomes a ParallelTopNOp and an unfused Limit-over-Sort gets
+// the limit pushed into per-worker runs.
 func TestParallelizePlacesSortBelowExchange(t *testing.T) {
 	w := newTestWarehouse(t)
 	keys := []plan.SortKey{{Col: 1}, {Col: 0, Desc: true}}
@@ -358,17 +357,6 @@ func TestParallelizePlacesSortBelowExchange(t *testing.T) {
 	}
 	if ptop.N != 3 {
 		t.Fatalf("limit not pushed into runs: N = %d", ptop.N)
-	}
-
-	ctx = NewContext()
-	ctx.SortParallel = false
-	par, _ = Parallelize(&SortOp{Input: w.salesScan(ctx), Keys: keys}, ctx, 4)
-	s, ok := par.(*SortOp)
-	if !ok {
-		t.Fatalf("knob off: expected coordinator *SortOp, got %T", par)
-	}
-	if _, ok := s.Input.(*ParallelOp); !ok {
-		t.Fatalf("knob off: sort input is %T, want the unordered *ParallelOp exchange", s.Input)
 	}
 }
 

@@ -10,12 +10,14 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/acid"
 	"repro/internal/dfs"
 	"repro/internal/orc"
+	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -79,16 +81,6 @@ type Context struct {
 	// (hive.split.target.stripes). 0 or negative means one stripe per
 	// morsel.
 	TargetStripes int
-	// SortParallel lets the parallel planner move Sort/TopN below the
-	// exchange: per-worker sorted runs streamed through an order-
-	// preserving merge (hive.sort.parallel). NewContext enables it, the
-	// server default.
-	SortParallel bool
-	// SpoolParallel lets the parallel planner admit spooled subtrees into
-	// worker pipelines: clones of one consumer split the published spool
-	// content through a shared cursor (hive.spool.parallel). NewContext
-	// enables it, the server default.
-	SpoolParallel bool
 	// PropsPlanning enables property-driven planning
 	// (hive.planner.properties): operators consult delivered physical
 	// properties (props.go) to elide sorts over already-ordered input,
@@ -133,12 +125,12 @@ func (c *Context) CheckCanceled() error {
 
 // NewContext returns an empty execution context.
 func NewContext() *Context {
-	return &Context{blooms: make(map[int]*RuntimeFilter), SortParallel: true, SpoolParallel: true, PropsPlanning: true}
+	return &Context{blooms: make(map[int]*RuntimeFilter), PropsPlanning: true}
 }
 
 // propsOn reports whether property-driven planning is enabled. A nil
 // context — operator trees built outside the HS2 path — keeps the feature
-// on, matching the server default (same convention as SortParallel).
+// on, matching the server default.
 func (c *Context) propsOn() bool {
 	return c == nil || c.PropsPlanning
 }
@@ -285,6 +277,15 @@ func (v *ValuesOp) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (v *ValuesOp) Close() error { return nil }
 
+// Child implements Node.
+func (v *ValuesOp) Child(int) *Operator { return nil }
+
+// Describe implements Node.
+func (v *ValuesOp) Describe(b *strings.Builder) { fmt.Fprintf(b, "Values rows=%d", len(v.Rows)) }
+
+// Stage implements Node.
+func (v *ValuesOp) Stage() Stage { return StagePipelined }
+
 // FilterOp keeps rows matching the predicate.
 type FilterOp struct {
 	Input Operator
@@ -323,6 +324,25 @@ func (f *FilterOp) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (f *FilterOp) Close() error { return f.Input.Close() }
 
+// Child implements Node.
+func (f *FilterOp) Child(i int) *Operator { return oneChild(i, &f.Input) }
+
+// Describe implements Node.
+func (f *FilterOp) Describe(b *strings.Builder) { b.WriteString("Filter") }
+
+// Stage implements Node.
+func (f *FilterOp) Stage() Stage { return StagePipelined }
+
+// Delivers implements the property fact: dropping rows preserves order and
+// co-location.
+func (f *FilterOp) Delivers() plan.Properties { return DeliveredProps(f.Input) }
+
+func (f *FilterOp) streamed() Operator { return f.Input }
+
+func (f *FilterOp) cloneOver(in Operator) Operator {
+	return &FilterOp{Input: in, Pred: f.Pred, Stats: f.Stats}
+}
+
 // ProjectOp evaluates expressions into a new batch.
 type ProjectOp struct {
 	Input Operator
@@ -360,6 +380,25 @@ func (p *ProjectOp) Next() (*vector.Batch, error) {
 
 // Close implements Operator.
 func (p *ProjectOp) Close() error { return p.Input.Close() }
+
+// Child implements Node.
+func (p *ProjectOp) Child(i int) *Operator { return oneChild(i, &p.Input) }
+
+// Describe implements Node.
+func (p *ProjectOp) Describe(b *strings.Builder) { b.WriteString("Project") }
+
+// Stage implements Node.
+func (p *ProjectOp) Stage() Stage { return StagePipelined }
+
+// Delivers implements the property fact: order and partitioning survive
+// through bare column references.
+func (p *ProjectOp) Delivers() plan.Properties { return projectProps(p) }
+
+func (p *ProjectOp) streamed() Operator { return p.Input }
+
+func (p *ProjectOp) cloneOver(in Operator) Operator {
+	return &ProjectOp{Input: in, Exprs: p.Exprs, Out: p.Out, Stats: p.Stats}
+}
 
 // LimitOp skips the first Offset rows, then stops after N more.
 type LimitOp struct {
@@ -422,6 +461,20 @@ func (l *LimitOp) Next() (*vector.Batch, error) {
 
 // Close implements Operator.
 func (l *LimitOp) Close() error { return l.Input.Close() }
+
+// Child implements Node.
+func (l *LimitOp) Child(i int) *Operator { return oneChild(i, &l.Input) }
+
+// Describe implements Node.
+func (l *LimitOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "Limit n=%d offset=%d", l.N, l.Offset)
+}
+
+// Stage implements Node.
+func (l *LimitOp) Stage() Stage { return StagePipelined }
+
+// Delivers implements the property fact: a prefix keeps its input's order.
+func (l *LimitOp) Delivers() plan.Properties { return orderOf(l.Input) }
 
 // Drain pulls every batch of an operator tree and returns the rows as
 // datum slices (convenience for tests and result fetching).

@@ -9,6 +9,9 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/acid"
@@ -223,6 +226,17 @@ func (p *ParallelOp) Close() error {
 	p.shutdown()
 	return closeWorkers(p.Workers, p.merges)
 }
+
+// Child implements Node.
+func (p *ParallelOp) Child(i int) *Operator { return nthChild(i, p.Workers) }
+
+// Describe implements Node.
+func (p *ParallelOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "Exchange workers=%d", len(p.Workers))
+}
+
+// Stage implements Node.
+func (p *ParallelOp) Stage() Stage { return StagePlaced }
 
 // ParallelHashAggOp is the two-phase parallel aggregation: each worker
 // pipeline feeds a thread-local partial aggregation (the paper's map-side
@@ -453,9 +467,29 @@ func (a *ParallelHashAggOp) Close() error {
 	return closeWorkers(a.Workers, a.merges)
 }
 
+// Child implements Node.
+func (a *ParallelHashAggOp) Child(i int) *Operator { return nthChild(i, a.Workers) }
+
+// Describe implements Node.
+func (a *ParallelHashAggOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "ParallelHashAgg workers=%d groups=%d", len(a.Workers), len(a.GroupExprs))
+	if a.Disjoint {
+		b.WriteString(" partition-wise")
+	}
+}
+
+// Stage implements Node.
+func (a *ParallelHashAggOp) Stage() Stage { return StagePlaced }
+
+// Delivers implements the property fact.
+func (a *ParallelHashAggOp) Delivers() plan.Properties {
+	return groupsUnique(a.GroupExprs, a.GroupingSets)
+}
+
 // Parallelize rewrites a physical operator tree for intra-query parallelism
 // at degree dop: scans fan out over shared morsel queues, aggregations
-// become two-phase, and hash joins share a partitioned build table across
+// become two-phase, sorts run as per-worker runs under an order-preserving
+// merge, and hash joins share a partitioned build table across
 // probe-pipeline clones. Serial semantics are preserved exactly; only the
 // order of result rows (for queries without ORDER BY) may change. The
 // second result reports whether any parallel operator was inserted — a
@@ -475,19 +509,8 @@ type parallelizer struct {
 	changed bool
 }
 
-// sortParallel reports whether Sort/TopN may move below the exchange
-// (hive.sort.parallel). A nil context — operator trees built outside the
-// HS2 path — keeps the feature on, matching the server default.
-func (p *parallelizer) sortParallel() bool {
-	return p.ctx == nil || p.ctx.SortParallel
-}
-
-// spoolParallel reports whether spooled subtrees may feed worker pipelines
-// (hive.spool.parallel), same nil-context default as sortParallel.
-func (p *parallelizer) spoolParallel() bool {
-	return p.ctx == nil || p.ctx.SpoolParallel
-}
-
+// rec chooses a placement for op by kind; where none applies op stays
+// serial and its inputs are placed instead.
 func (p *parallelizer) rec(op Operator) Operator {
 	switch x := op.(type) {
 	case *HashAggOp:
@@ -513,11 +536,10 @@ func (p *parallelizer) rec(op Operator) Operator {
 				Stats: x.Stats, merges: merges,
 			}
 		}
-		x.Input = p.rec(x.Input)
-		return x
-	case *ScanOp, *FilterOp, *ProjectOp:
-		// A chain over a co-partitioned join parallelizes unit-wise
-		// (partjoin.go) before the generic shared-build clone.
+	case *ScanOp, *FilterOp, *ProjectOp, *HashJoinOp:
+		// Partition-wise join (partjoin.go): co-partitioned sides join as
+		// independent units with no shared build and no exchange. It goes
+		// before the generic shared-build clone.
 		if pj, ok := p.partitionJoin(op); ok {
 			p.changed = true
 			return pj
@@ -526,110 +548,66 @@ func (p *parallelizer) rec(op Operator) Operator {
 			p.changed = true
 			return &ParallelOp{Workers: workers, Ctx: p.ctx, merges: merges}
 		}
-		switch y := op.(type) {
-		case *FilterOp:
-			y.Input = p.rec(y.Input)
-		case *ProjectOp:
-			y.Input = p.rec(y.Input)
-		}
-		return op
-	case *HashJoinOp:
-		// Partition-wise join (partjoin.go): co-partitioned sides join as
-		// independent units with no shared build and no exchange.
-		if pj, ok := p.partitionJoin(x); ok {
-			p.changed = true
-			return pj
-		}
-		if workers, merges, ok := p.cloneWorkers(op); ok {
-			p.changed = true
-			return &ParallelOp{Workers: workers, Ctx: p.ctx, merges: merges}
-		}
-		x.Left = p.rec(x.Left)
-		x.Right = p.rec(x.Right)
-		return x
 	case *SortOp:
 		// Parallel ORDER BY: the sort moves below the exchange — every
 		// worker sorts its share of the morsel stream into a local run,
 		// and the order-preserving MergeOp streams the runs through a
 		// loser-tree k-way merge on the coordinator.
-		if p.sortParallel() {
-			if workers, merges, ok := p.cloneWorkers(x.Input); ok {
-				p.changed = true
-				runs := make([]Operator, len(workers))
-				for i, w := range workers {
-					runs[i] = &SortOp{Input: w, Keys: x.Keys, Ctx: p.ctx}
-				}
-				return &MergeOp{Workers: runs, Keys: x.Keys, Ctx: p.ctx, merges: merges}
+		if workers, merges, ok := p.cloneWorkers(x.Input); ok {
+			p.changed = true
+			runs := make([]Operator, len(workers))
+			for i, w := range workers {
+				runs[i] = &SortOp{Input: w, Keys: x.Keys, Ctx: p.ctx}
 			}
+			return &MergeOp{Workers: runs, Keys: x.Keys, Ctx: p.ctx, merges: merges}
 		}
-		x.Input = p.rec(x.Input)
-		return x
 	case *TopNOp:
 		// Parallel TopN: the LIMIT pushes into every worker's run as a
 		// thread-local bounded heap; survivors merge into one final heap.
-		if p.sortParallel() && x.N > 0 {
+		if x.N > 0 {
 			if workers, merges, ok := p.cloneWorkers(x.Input); ok {
 				p.changed = true
 				return &ParallelTopNOp{Workers: workers, Keys: x.Keys, N: x.N, Offset: x.Offset, Ctx: p.ctx, merges: merges}
 			}
 		}
-		x.Input = p.rec(x.Input)
-		return x
-	case *WindowOp:
-		x.Input = p.rec(x.Input)
-		return x
 	case *LimitOp:
 		// An unfused LIMIT directly over a sort (trees built outside the
 		// compiler's TopN fusion) is still a TopN: push the limit into
 		// per-worker runs rather than serializing the sort.
-		if s, ok := x.Input.(*SortOp); ok && p.sortParallel() && x.N > 0 {
+		if s, ok := x.Input.(*SortOp); ok && x.N > 0 {
 			if workers, merges, ok := p.cloneWorkers(s.Input); ok {
 				p.changed = true
 				return &ParallelTopNOp{Workers: workers, Keys: s.Keys, N: x.N, Offset: x.Offset, Ctx: p.ctx, merges: merges}
 			}
 		}
-		x.Input = p.rec(x.Input)
-		return x
-	case *SpoolOp:
-		x.Input = p.rec(x.Input)
-		return x
-	case *SetOpOp:
-		x.Left = p.rec(x.Left)
-		x.Right = p.rec(x.Right)
-		return x
-	case *UnionAllOp:
-		for i, in := range x.Inputs {
-			x.Inputs[i] = p.rec(in)
-		}
-		return x
 	}
+	RewriteInputs(op, p.rec)
 	return op
 }
 
 // aggPartitionWise reports whether the aggregation's group keys cover
 // every partition column of the pipeline's base scan while its splits are
-// whole directories: each directory is one distinct partition-value
-// combination owned by exactly one worker, so rows agreeing on the group
-// keys — hence on all partition values — aggregate on the same worker and
-// the partials are key-disjoint. Grouping sets break the argument (a
-// masked-out partition column merges across units).
+// whole directories (what the scan's delivered partitioning says): each
+// directory is one distinct partition-value combination owned by exactly
+// one worker, so rows agreeing on the group keys — hence on all partition
+// values — aggregate on the same worker and the partials are key-disjoint.
+// Grouping sets break the argument (a masked-out partition column merges
+// across units).
 func (p *parallelizer) aggPartitionWise(x *HashAggOp) bool {
 	if !p.ctx.propsOn() || x.GroupingSets != nil {
 		return false
 	}
-	s, m, ok := scanPartInfo(x.Input)
-	if !ok || !wholeDirSplits(s) {
-		return false
-	}
-	covered := map[int]bool{}
-	for _, e := range x.GroupExprs {
-		if c, refOK := e.ColRef(); refOK {
-			if pk, isPart := m[c]; isPart {
-				covered[pk] = true
-			}
+	part := DeliveredProps(x.Input).Partitioning
+	for _, c := range part {
+		grouped := slices.ContainsFunc(x.GroupExprs, func(e *CompiledExpr) bool {
+			ref, ok := e.ColRef()
+			return ok && ref == c
+		})
+		if !grouped {
+			return false
 		}
 	}
-	return len(covered) == len(s.Table.PartKeys)
+	return len(part) > 0
 }
 
 // spoolMorsels is the morsel count assumed for a spooled source: its row
@@ -638,56 +616,15 @@ func (p *parallelizer) aggPartitionWise(x *HashAggOp) bool {
 // starve surplus workers naturally when the spool turns out small.
 const spoolMorsels = 1 << 20
 
-// clonable reports whether op is a morsel pipeline — a chain of stateless
-// per-batch operators (filter, project, hashed join probe) over a table
-// scan or a published spool — that can be cloned per worker. Right/full
-// outer joins stay serial (their unmatched-build emission is a global
-// pass), as do nested-loop probes. Spools qualify when hive.spool.parallel
-// is on: materialization is single-flight and the published content is
-// immutable, so clones can split it through a shared cursor.
-func (p *parallelizer) clonable(op Operator) bool {
-	switch x := op.(type) {
-	case *ScanOp:
-		return true
-	case *SpoolOp:
-		return p.spoolParallel()
-	case *FilterOp:
-		return p.clonable(x.Input)
-	case *ProjectOp:
-		return p.clonable(x.Input)
-	case *HashJoinOp:
-		if x.Kind == plan.Right || x.Kind == plan.Full || len(x.LeftKeys) == 0 {
-			return false
-		}
-		return p.clonable(x.Left)
-	}
-	return false
-}
-
-// morselCount returns the number of splits the pipeline's base scan will
-// distribute; parallelism is pointless below two morsels.
-func morselCount(op Operator) int {
-	switch x := op.(type) {
-	case *ScanOp:
-		return len(x.Splits)
-	case *SpoolOp:
-		return spoolMorsels
-	case *FilterOp:
-		return morselCount(x.Input)
-	case *ProjectOp:
-		return morselCount(x.Input)
-	case *HashJoinOp:
-		return morselCount(x.Left)
-	}
-	return 0
-}
-
-// cloneWorkers turns a clonable pipeline into worker pipelines that share
-// one morsel queue (and, for joins, one build table). The worker count is
-// the requested DOP capped by the morsel count (extra workers would never
-// receive a split) and the executor pool size (extra workers would never
-// receive a slot). The original operators are mutated to carry the shared
-// state and then templated.
+// cloneWorkers turns a morsel pipeline — a chain of stateless per-batch
+// operators (node.go, fact 5) over a table scan or a published spool — into
+// worker pipelines that share one morsel queue (and, for joins, one build
+// table). Spools qualify because materialization is single-flight and the
+// published content is immutable, so clones can split it through a shared
+// cursor. The worker count is the requested DOP capped by the morsel count
+// (extra workers would never receive a split) and the executor pool size
+// (extra workers would never receive a slot). The original operators are
+// mutated to carry the shared state and then templated.
 func (p *parallelizer) cloneWorkers(op Operator) ([]Operator, []statMerge, bool) {
 	return p.cloneWorkersExpand(op, true)
 }
@@ -696,53 +633,72 @@ func (p *parallelizer) cloneWorkers(op Operator) ([]Operator, []statMerge, bool)
 // partition-wise placements keep directory splits whole because split
 // value-disjointness is what makes their merge an append.
 func (p *parallelizer) cloneWorkersExpand(op Operator, expand bool) ([]Operator, []statMerge, bool) {
-	if !p.clonable(op) {
-		return nil, nil, false
-	}
-	if expand {
-		p.expandSplits(op)
-	}
-	mc := morselCount(op)
-	if mc < 2 {
-		return nil, nil, false
-	}
-	n := p.dop
-	if mc < n {
-		n = mc
-	}
-	if p.ctx != nil && p.ctx.Slots != nil {
-		if e := p.ctx.Slots.Executors() + 1; e < n { // +1: the coordinator's implicit slot
-			n = e
+	src := pipelineSource(op)
+	scan, _ := src.(*ScanOp)
+	spool, _ := src.(*SpoolOp)
+	morsels := spoolMorsels
+	if scan != nil {
+		// Refine coarse directory splits into stripe-granular morsels
+		// (paper §5.1) before the morsel count caps the worker fan-out:
+		// without this an unpartitioned table is a single whole-directory
+		// morsel and scans serially no matter the DOP.
+		if expand {
+			p.expandScanSplits(scan)
 		}
+		morsels = len(scan.Splits)
+	} else if spool == nil {
+		return nil, nil, false
+	}
+	n := min(p.dop, morsels)
+	if p.ctx != nil && p.ctx.Slots != nil {
+		n = min(n, p.ctx.Slots.Executors()+1) // +1: the coordinator's implicit slot
 	}
 	if n < 2 {
 		return nil, nil, false
 	}
-	p.prepareShared(op)
-	workers := make([]Operator, n)
+	// Attach the cross-worker state to the template: every join on the
+	// chain gets a shared build (whose own input subtree is parallelized
+	// recursively), then the source its split queue or consumption cursor.
+	for o := op; o != src; o = streamedInput(o) {
+		if j, ok := o.(*HashJoinOp); ok && j.Shared == nil {
+			j.Types() // resolve output schema while Right is still attached
+			j.Shared = &sharedBuild{right: p.rec(j.Right)}
+			j.Right = nil
+		}
+	}
 	var merges []statMerge
+	var source func(Operator) Operator
+	if scan != nil {
+		if scan.Shared == nil {
+			scan.Shared = NewSplitQueue(scan.Splits)
+			scan.Splits = nil
+		}
+		// Scans get per-worker stats counters, merged back on Close.
+		source = func(Operator) Operator {
+			c := scan.clone()
+			if scan.Stats != nil {
+				c.Stats = &RuntimeStats{Name: scan.Stats.Name}
+				merges = append(merges, statMerge{from: c.Stats, to: scan.Stats})
+			}
+			return c
+		}
+	} else {
+		if spool.Cursor == nil {
+			spool.Types() // resolve the schema while single-threaded
+			spool.Cursor = &spoolCursor{}
+			spool.Input = p.rec(spool.Input)
+		}
+		// Clones share the input operator (only the single-flight
+		// materialization winner ever runs it) and the consumption cursor.
+		source = func(Operator) Operator {
+			return &SpoolOp{ID: spool.ID, Input: spool.Input, Ctx: spool.Ctx, Cursor: spool.Cursor, ts: spool.ts}
+		}
+	}
+	workers := make([]Operator, n)
 	for w := range workers {
-		workers[w] = clonePipeline(op, &merges)
+		workers[w] = clonePipeline(op, source)
 	}
 	return workers, merges, true
-}
-
-// expandSplits walks a clonable pipeline to its base scan and refines
-// coarse directory splits into stripe-granular morsels (paper §5.1) before
-// the morsel count caps the worker fan-out. Without this, an unpartitioned
-// table is a single whole-directory morsel and scans serially no matter
-// the DOP.
-func (p *parallelizer) expandSplits(op Operator) {
-	switch x := op.(type) {
-	case *ScanOp:
-		p.expandScanSplits(x)
-	case *FilterOp:
-		p.expandSplits(x.Input)
-	case *ProjectOp:
-		p.expandSplits(x.Input)
-	case *HashJoinOp:
-		p.expandSplits(x.Left)
-	}
 }
 
 // expandScanSplits replaces the scan's directory splits with stripe ranges
@@ -871,70 +827,4 @@ func (p *parallelizer) expandSkewedSplits(s *ScanOp) {
 		}
 	}
 	s.Splits = out
-}
-
-// prepareShared attaches the cross-worker state to the template pipeline:
-// scans get the shared split queue, joins get the shared build (whose own
-// input subtree is parallelized recursively), spools get the shared
-// consumption cursor their clones split the published content through.
-func (p *parallelizer) prepareShared(op Operator) {
-	switch x := op.(type) {
-	case *ScanOp:
-		if x.Shared == nil {
-			x.Shared = NewSplitQueue(x.Splits)
-			x.Splits = nil
-		}
-	case *SpoolOp:
-		if x.Cursor == nil {
-			x.Types() // resolve the schema while single-threaded
-			x.Cursor = &spoolCursor{}
-			x.Input = p.rec(x.Input)
-		}
-	case *FilterOp:
-		p.prepareShared(x.Input)
-	case *ProjectOp:
-		p.prepareShared(x.Input)
-	case *HashJoinOp:
-		if x.Shared == nil {
-			x.Types() // resolve output schema while Right is still attached
-			x.Shared = &sharedBuild{right: p.rec(x.Right)}
-			x.Right = nil
-		}
-		p.prepareShared(x.Left)
-	}
-}
-
-// clonePipeline deep-copies the pipeline operators, sharing compiled
-// expressions (pure) and the prepared shared state. Scans get per-worker
-// stats counters, merged back into the plan counter on Close.
-func clonePipeline(op Operator, merges *[]statMerge) Operator {
-	switch x := op.(type) {
-	case *ScanOp:
-		clone := &ScanOp{
-			FS: x.FS, Table: x.Table, Cols: x.Cols, Meta: x.Meta,
-			Sarg: x.Sarg, RF: x.RF, Prune: x.Prune, Ctx: x.Ctx, Shared: x.Shared,
-		}
-		if x.Stats != nil {
-			ws := &RuntimeStats{Name: x.Stats.Name}
-			clone.Stats = ws
-			*merges = append(*merges, statMerge{from: ws, to: x.Stats})
-		}
-		return clone
-	case *SpoolOp:
-		// Clones share the input operator (only the single-flight
-		// materialization winner ever runs it) and the consumption cursor.
-		return &SpoolOp{ID: x.ID, Input: x.Input, Ctx: x.Ctx, Cursor: x.Cursor, ts: x.ts}
-	case *FilterOp:
-		return &FilterOp{Input: clonePipeline(x.Input, merges), Pred: x.Pred, Stats: x.Stats}
-	case *ProjectOp:
-		return &ProjectOp{Input: clonePipeline(x.Input, merges), Exprs: x.Exprs, Out: x.Out, Stats: x.Stats}
-	case *HashJoinOp:
-		return &HashJoinOp{
-			Left: clonePipeline(x.Left, merges), Kind: x.Kind,
-			LeftKeys: x.LeftKeys, RightKeys: x.RightKeys, Residual: x.Residual,
-			Ctx: x.Ctx, Stats: x.Stats, Shared: x.Shared, BuildFilter: x.BuildFilter,
-			outTypes: x.outTypes, leftW: x.leftW, rtTypes: x.rtTypes,
-		}
-	}
-	return op
 }

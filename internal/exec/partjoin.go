@@ -13,6 +13,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -109,7 +110,7 @@ func (j *PartitionJoinOp) runWorker() {
 }
 
 func (j *PartitionJoinOp) runUnit(u joinUnit) error {
-	op := cloneUnitPipeline(j.Pipeline, u)
+	op := j.unitPipeline(u)
 	if err := op.Open(); err != nil {
 		return err
 	}
@@ -151,74 +152,40 @@ func (j *PartitionJoinOp) Next() (*vector.Batch, error) {
 
 // Close implements Operator. Unit pipelines close inside the workers; only
 // the template (never opened) and the exchange remain.
+//
 //lint:ignore close-and-cancel Pipeline is a never-opened template; the clones made from it close inside runUnit
 func (j *PartitionJoinOp) Close() error {
 	j.shutdown()
 	return nil
 }
 
-// cloneUnitPipeline copies the template chain, substituting the unit's
-// splits on both sides of the join. Compiled expressions are pure and
-// RuntimeStats counters are atomic, so clones share both.
-func cloneUnitPipeline(op Operator, u joinUnit) Operator {
-	switch x := op.(type) {
-	case *HashJoinOp:
-		return &HashJoinOp{
-			Left:  cloneWithSplits(x.Left, u.left),
-			Right: cloneWithSplits(x.Right, u.right),
-			Kind:  x.Kind, LeftKeys: x.LeftKeys, RightKeys: x.RightKeys,
-			Residual: x.Residual, Ctx: x.Ctx, Stats: x.Stats,
-		}
-	case *FilterOp:
-		return &FilterOp{Input: cloneUnitPipeline(x.Input, u), Pred: x.Pred, Stats: x.Stats}
-	case *ProjectOp:
-		return &ProjectOp{Input: cloneUnitPipeline(x.Input, u), Exprs: x.Exprs, Out: x.Out, Stats: x.Stats}
-	}
+// Child implements Node: the never-opened template.
+func (j *PartitionJoinOp) Child(i int) *Operator { return oneChild(i, &j.Pipeline) }
+
+// Describe implements Node.
+func (j *PartitionJoinOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "PartitionJoin kind=%s units=%d workers=%d", firstJoin(j.Pipeline).Kind, len(j.Units), j.workersWanted())
+}
+
+// Stage implements Node.
+func (j *PartitionJoinOp) Stage() Stage { return StagePlaced }
+
+// unitPipeline copies the template for one unit: the base scan of each join
+// side reads the unit's own split list — no shared queue, the unit owns its
+// splits outright.
+func (j *PartitionJoinOp) unitPipeline(u joinUnit) Operator {
+	op := clonePipeline(j.Pipeline, scanSplits(u.left))
+	hj := firstJoin(op)
+	hj.Right = clonePipeline(hj.Right, scanSplits(u.right))
 	return op
 }
 
-// cloneWithSplits copies a simple scan chain, substituting the base scan's
-// split list. No shared queue: the unit owns its splits outright.
-func cloneWithSplits(op Operator, splits []TableSplit) Operator {
-	switch x := op.(type) {
-	case *ScanOp:
-		return &ScanOp{
-			FS: x.FS, Table: x.Table, Cols: x.Cols, Meta: x.Meta,
-			Sarg: x.Sarg, RF: x.RF, Ctx: x.Ctx, Stats: x.Stats, Splits: splits,
-		}
-	case *FilterOp:
-		return &FilterOp{Input: cloneWithSplits(x.Input, splits), Pred: x.Pred, Stats: x.Stats}
-	case *ProjectOp:
-		return &ProjectOp{Input: cloneWithSplits(x.Input, splits), Exprs: x.Exprs, Out: x.Out, Stats: x.Stats}
+func scanSplits(splits []TableSplit) func(Operator) Operator {
+	return func(src Operator) Operator {
+		c := src.(*ScanOp).clone()
+		c.Splits = splits
+		return c
 	}
-	return op
-}
-
-// simpleScanChain unwraps a Filter/Project chain to its base scan; nested
-// joins disqualify (a unit clone would re-run their build per unit).
-func simpleScanChain(op Operator) (*ScanOp, bool) {
-	switch x := op.(type) {
-	case *ScanOp:
-		return x, true
-	case *FilterOp:
-		return simpleScanChain(x.Input)
-	case *ProjectOp:
-		return simpleScanChain(x.Input)
-	}
-	return nil, false
-}
-
-// chainJoin unwraps a Filter/Project chain to the hash join it covers.
-func chainJoin(op Operator) (*HashJoinOp, bool) {
-	switch x := op.(type) {
-	case *HashJoinOp:
-		return x, true
-	case *FilterOp:
-		return chainJoin(x.Input)
-	case *ProjectOp:
-		return chainJoin(x.Input)
-	}
-	return nil, false
 }
 
 // partitionJoin recognizes a pipeline whose hash join has both sides
@@ -230,18 +197,16 @@ func chainJoin(op Operator) (*HashJoinOp, bool) {
 //     a global unmatched-build pass;
 //   - no BuildFilter: the runtime filter publishes once, but every unit
 //     would build;
-//   - both sides are simple scan chains over whole-directory splits with
-//     no dynamic partition pruning bound (pruning decides on the shared
-//     queue; units pre-assign splits);
+//   - both sides are single-input chains over a scan delivering its
+//     partitioning (whole-directory splits) with no dynamic partition
+//     pruning bound (pruning decides on the shared queue; units pre-assign
+//     splits);
 //   - the key equalities link EVERY partition column of both sides: rows
 //     with equal keys then agree on all partition values, so all matches
 //     live inside one co-partitioned unit.
 func (p *parallelizer) partitionJoin(op Operator) (Operator, bool) {
-	if !p.ctx.propsOn() {
-		return nil, false
-	}
-	x, ok := chainJoin(op)
-	if !ok {
+	x := firstJoin(op)
+	if !p.ctx.propsOn() || x == nil {
 		return nil, false
 	}
 	switch x.Kind {
@@ -252,17 +217,14 @@ func (p *parallelizer) partitionJoin(op Operator) (Operator, bool) {
 	if x.BuildFilter != nil || len(x.LeftKeys) == 0 || x.Right == nil {
 		return nil, false
 	}
-	ls, lok := simpleScanChain(x.Left)
-	rs, rok := simpleScanChain(x.Right)
+	// A nested join disqualifies: a unit clone would re-run its build per
+	// unit.
+	if firstJoin(x.Left) != nil || firstJoin(x.Right) != nil {
+		return nil, false
+	}
+	ls, lpart, lok := partitionedScan(x.Left)
+	rs, rpart, rok := partitionedScan(x.Right)
 	if !lok || !rok || len(ls.Prune) > 0 || len(rs.Prune) > 0 {
-		return nil, false
-	}
-	if !wholeDirSplits(ls) || !wholeDirSplits(rs) {
-		return nil, false
-	}
-	_, lm, lok := scanPartInfo(x.Left)
-	_, rm, rok := scanPartInfo(x.Right)
-	if !lok || !rok {
 		return nil, false
 	}
 	// Collect linked partition-key pairs from bare-column key equalities.
@@ -273,19 +235,15 @@ func (p *parallelizer) partitionJoin(op Operator) (Operator, bool) {
 	for i := range x.LeftKeys {
 		lc, ok1 := x.LeftKeys[i].ColRef()
 		rc, ok2 := x.RightKeys[i].ColRef()
-		if !ok1 || !ok2 {
-			continue
-		}
-		lpk, lIsPart := lm[lc]
-		rpk, rIsPart := rm[rc]
-		if !lIsPart || !rIsPart {
+		lpk, rpk := slices.Index(lpart, lc), slices.Index(rpart, rc)
+		if !ok1 || !ok2 || lpk < 0 || rpk < 0 {
 			continue
 		}
 		links = append(links, link{lpk, rpk})
 		lcov[lpk] = true
 		rcov[rpk] = true
 	}
-	if len(lcov) != len(ls.Table.PartKeys) || len(rcov) != len(rs.Table.PartKeys) {
+	if len(lcov) != len(lpart) || len(rcov) != len(rpart) {
 		return nil, false
 	}
 	// Co-partition the split lists on the linked values. Units are created

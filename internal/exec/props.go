@@ -33,80 +33,6 @@ import (
 	"repro/internal/types"
 )
 
-// DeliveredProps derives the physical properties an operator tree's output
-// stream is guaranteed to satisfy. The derivation is conservative: an
-// operator the walk does not understand delivers nothing.
-func DeliveredProps(op Operator) plan.Properties {
-	switch x := op.(type) {
-	case *SortOp:
-		return plan.Properties{Ordering: x.Keys}
-	case *MergeOp:
-		// The loser-tree merge preserves the per-run order globally.
-		return plan.Properties{Ordering: x.Keys}
-	case *TopNOp:
-		return plan.Properties{Ordering: x.Keys}
-	case *ParallelTopNOp:
-		return plan.Properties{Ordering: x.Keys}
-	case *FilterOp:
-		// Dropping rows preserves order and co-location.
-		return DeliveredProps(x.Input)
-	case *LimitOp:
-		return plan.Properties{Ordering: DeliveredProps(x.Input).Ordering}
-	case *SpoolOp:
-		// Replay is in materialization (= input) order; a parallel shared
-		// cursor hands each consumer a subsequence, which is still ordered
-		// but not partition-aligned.
-		return plan.Properties{Ordering: DeliveredProps(x.Input).Ordering}
-	case *WindowOp:
-		// Rows emit in arrival order with appended function columns.
-		return plan.Properties{Ordering: DeliveredProps(x.Input).Ordering}
-	case *ProjectOp:
-		return projectProps(x)
-	case *HashAggOp:
-		if x.GroupingSets == nil && len(x.GroupExprs) > 0 {
-			return plan.Properties{Unique: [][]int{ordinals(len(x.GroupExprs))}}
-		}
-		return plan.Properties{}
-	case *ParallelHashAggOp:
-		if x.GroupingSets == nil && len(x.GroupExprs) > 0 {
-			return plan.Properties{Unique: [][]int{ordinals(len(x.GroupExprs))}}
-		}
-		return plan.Properties{}
-	case *ScanOp:
-		if m, ok := scanPartMap(x); ok && wholeDirSplits(x) {
-			return plan.Properties{Partitioning: mapKeys(m)}
-		}
-		return plan.Properties{}
-	case *HashJoinOp:
-		// The probe pipeline emits left rows (expanded by matches) in left
-		// order with left ordinals unchanged for the kinds whose output
-		// leads with — or is exactly — the left row, so the left stream's
-		// partitioning survives.
-		switch x.Kind {
-		case plan.Inner, plan.Left, plan.Semi, plan.Anti:
-			return plan.Properties{Partitioning: DeliveredProps(x.Left).Partitioning}
-		}
-		return plan.Properties{}
-	}
-	return plan.Properties{}
-}
-
-func ordinals(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func mapKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
 // projectProps remaps the input's properties through bare column
 // references; anything computed loses its provenance.
 func projectProps(p *ProjectOp) plan.Properties {
@@ -149,69 +75,16 @@ func projectProps(p *ProjectOp) plan.Properties {
 	return out
 }
 
-// scanPartInfo walks a morsel pipeline (Filter/Project/probe-join chain)
-// to its base scan and returns the scan plus a map from pipeline output
-// ordinal to partition key index — defined only when every partition key
-// column survives to the output. This is the provenance the partition-wise
-// agg and join placements match their keys against.
-func scanPartInfo(op Operator) (*ScanOp, map[int]int, bool) {
-	switch x := op.(type) {
-	case *ScanOp:
-		m, ok := scanPartMap(x)
-		return x, m, ok
-	case *FilterOp:
-		return scanPartInfo(x.Input)
-	case *ProjectOp:
-		s, m, ok := scanPartInfo(x.Input)
-		if !ok {
-			return nil, nil, false
-		}
-		out := map[int]int{}
-		covered := map[int]bool{}
-		for o, e := range x.Exprs {
-			if c, refOK := e.ColRef(); refOK {
-				if pk, isPart := m[c]; isPart {
-					out[o] = pk
-					covered[pk] = true
-				}
-			}
-		}
-		if len(covered) != len(s.Table.PartKeys) {
-			return nil, nil, false
-		}
-		return s, out, true
-	case *HashJoinOp:
-		switch x.Kind {
-		case plan.Inner, plan.Left, plan.Semi, plan.Anti:
-			return scanPartInfo(x.Left)
-		}
-	}
-	return nil, nil, false
-}
-
-// scanPartMap maps scan output ordinals to partition key indexes when the
-// scan projects every partition key column of a partitioned table.
-func scanPartMap(s *ScanOp) (map[int]int, bool) {
-	if len(s.Table.PartKeys) == 0 {
-		return nil, false
-	}
-	metaOff := 0
-	if s.Meta {
-		metaOff = 3
-	}
-	m := map[int]int{}
-	covered := map[int]bool{}
-	for i, c := range s.Cols {
-		if c >= len(s.Table.Cols) {
-			pk := c - len(s.Table.Cols)
-			m[metaOff+i] = pk
-			covered[pk] = true
-		}
-	}
-	if len(covered) != len(s.Table.PartKeys) {
-		return nil, false
-	}
-	return m, true
+// partitionedScan returns a morsel pipeline's base scan and, for each of
+// its partition keys, the pipeline output ordinal carrying it — defined when
+// the scan's splits are whole directories and every partition key column
+// survives to the output, which is exactly when the pipeline delivers a
+// partitioning. This is the provenance the partition-wise join placement
+// matches its keys against.
+func partitionedScan(op Operator) (*ScanOp, []int, bool) {
+	s, ok := pipelineSource(op).(*ScanOp)
+	part := DeliveredProps(op).Partitioning
+	return s, part, ok && len(part) > 0
 }
 
 // wholeDirSplits reports whether every split of the scan is a whole
@@ -239,36 +112,7 @@ func wholeDirSplits(s *ScanOp) bool {
 // the property-shaped tree.
 func ApplyProperties(op Operator) Operator {
 	// Recurse first: children settle before the local match.
-	switch x := op.(type) {
-	case *SortOp:
-		x.Input = ApplyProperties(x.Input)
-	case *TopNOp:
-		x.Input = ApplyProperties(x.Input)
-	case *FilterOp:
-		x.Input = ApplyProperties(x.Input)
-	case *ProjectOp:
-		x.Input = ApplyProperties(x.Input)
-	case *LimitOp:
-		x.Input = ApplyProperties(x.Input)
-	case *WindowOp:
-		x.Input = ApplyProperties(x.Input)
-	case *SpoolOp:
-		x.Input = ApplyProperties(x.Input)
-	case *HashAggOp:
-		x.Input = ApplyProperties(x.Input)
-	case *HashJoinOp:
-		x.Left = ApplyProperties(x.Left)
-		if x.Right != nil {
-			x.Right = ApplyProperties(x.Right)
-		}
-	case *SetOpOp:
-		x.Left = ApplyProperties(x.Left)
-		x.Right = ApplyProperties(x.Right)
-	case *UnionAllOp:
-		for i, in := range x.Inputs {
-			x.Inputs[i] = ApplyProperties(in)
-		}
-	}
+	RewriteInputs(op, ApplyProperties)
 	switch x := op.(type) {
 	case *SortOp:
 		// Required ordering already delivered: a stable sort of ordered
@@ -440,100 +284,25 @@ func ExplainPhysical(op Operator) string {
 }
 
 func explainPhys(b *strings.Builder, op Operator, depth int) {
-	indent := strings.Repeat("  ", depth)
-	line := func(format string, args ...interface{}) {
-		fmt.Fprintf(b, "%s%s\n", indent, fmt.Sprintf(format, args...))
+	for i := 0; i < depth; i++ {
+		b.WriteString("  ")
 	}
-	switch x := op.(type) {
-	case *ScanOp:
-		n := len(x.Splits)
-		shared := ""
-		if x.Shared != nil {
-			n = len(x.Shared.splits)
-			shared = " shared-queue"
+	n, ok := op.(Node)
+	if !ok {
+		// Not a Node (e.g. a federation scan): rendered opaque.
+		fmt.Fprintf(b, "%T\n", op)
+		return
+	}
+	n.Describe(b)
+	b.WriteByte('\n')
+	for i := 0; ; i++ {
+		c := n.Child(i)
+		if c == nil || i > 0 && n.Stage()&StagePlaced != 0 {
+			return // a placement renders its first worker only
 		}
-		line("TableScan table=%s splits=%d%s", x.Table.Name, n, shared)
-	case *FilterOp:
-		line("Filter")
-		explainPhys(b, x.Input, depth+1)
-	case *ProjectOp:
-		line("Project")
-		explainPhys(b, x.Input, depth+1)
-	case *LimitOp:
-		line("Limit n=%d offset=%d", x.N, x.Offset)
-		explainPhys(b, x.Input, depth+1)
-	case *SortOp:
-		line("Sort keys=%s", sortKeysDigest(x.Keys))
-		explainPhys(b, x.Input, depth+1)
-	case *TopNOp:
-		line("TopN n=%d keys=%s", x.N, sortKeysDigest(x.Keys))
-		explainPhys(b, x.Input, depth+1)
-	case *MergeOp:
-		line("MergeExchange workers=%d keys=%s", len(x.Workers), sortKeysDigest(x.Keys))
-		if len(x.Workers) > 0 {
-			explainPhys(b, x.Workers[0], depth+1)
+		if *c != nil {
+			explainPhys(b, *c, depth+1)
 		}
-	case *ParallelTopNOp:
-		line("ParallelTopN workers=%d n=%d keys=%s", len(x.Workers), x.N, sortKeysDigest(x.Keys))
-		if len(x.Workers) > 0 {
-			explainPhys(b, x.Workers[0], depth+1)
-		}
-	case *ParallelOp:
-		line("Exchange workers=%d", len(x.Workers))
-		if len(x.Workers) > 0 {
-			explainPhys(b, x.Workers[0], depth+1)
-		}
-	case *ParallelHashAggOp:
-		mode := ""
-		if x.Disjoint {
-			mode = " partition-wise"
-		}
-		line("ParallelHashAgg workers=%d groups=%d%s", len(x.Workers), len(x.GroupExprs), mode)
-		if len(x.Workers) > 0 {
-			explainPhys(b, x.Workers[0], depth+1)
-		}
-	case *HashAggOp:
-		line("HashAgg groups=%d", len(x.GroupExprs))
-		explainPhys(b, x.Input, depth+1)
-	case *HashJoinOp:
-		shared := ""
-		if x.Shared != nil {
-			shared = " shared-build"
-		}
-		line("HashJoin kind=%s%s", x.Kind, shared)
-		explainPhys(b, x.Left, depth+1)
-		if x.Right != nil {
-			explainPhys(b, x.Right, depth+1)
-		} else if x.Shared != nil && x.Shared.right != nil {
-			explainPhys(b, x.Shared.right, depth+1)
-		}
-	case *PartitionJoinOp:
-		kind := "?"
-		if hj, ok := chainJoin(x.Pipeline); ok {
-			kind = hj.Kind.String()
-		}
-		line("PartitionJoin kind=%s units=%d workers=%d", kind, len(x.Units), x.workersWanted())
-		explainPhys(b, x.Pipeline, depth+1)
-	case *WindowOp:
-		line("Window %s", explainWindow(x))
-		explainPhys(b, x.Input, depth+1)
-	case *SpoolOp:
-		line("Spool id=%d", x.ID)
-		explainPhys(b, x.Input, depth+1)
-	case *SetOpOp:
-		line("SetOp kind=%v", x.Kind)
-		explainPhys(b, x.Left, depth+1)
-		explainPhys(b, x.Right, depth+1)
-	case *UnionAllOp:
-		line("UnionAll")
-		for _, in := range x.Inputs {
-			explainPhys(b, in, depth+1)
-		}
-	case *ValuesOp:
-		line("Values rows=%d", len(x.Rows))
-	default:
-		line("%T", op)
-		// Unknown wrappers (e.g. dag.SpillExchangeOp) are rendered opaque.
 	}
 }
 

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -379,3 +382,49 @@ func (s *ScanOp) applyRuntimeFilters(b *vector.Batch) *vector.Batch {
 
 // Close implements Operator.
 func (s *ScanOp) Close() error { return nil }
+
+// Child implements Node.
+func (s *ScanOp) Child(int) *Operator { return nil }
+
+// Describe implements Node.
+func (s *ScanOp) Describe(b *strings.Builder) {
+	if s.Shared != nil {
+		fmt.Fprintf(b, "TableScan table=%s splits=%d shared-queue", s.Table.Name, len(s.Shared.splits))
+		return
+	}
+	fmt.Fprintf(b, "TableScan table=%s splits=%d", s.Table.Name, len(s.Splits))
+}
+
+// Stage implements Node: a scan is map work, a vertex with no shuffle.
+func (s *ScanOp) Stage() Stage { return StageVertex }
+
+// Delivers implements the property fact: whole-directory splits of a scan
+// that projects every partition key column are value-disjoint on those
+// columns. Partitioning[k] is the output ordinal of partition key k — the
+// provenance the partition-wise agg and join placements match keys against.
+func (s *ScanOp) Delivers() plan.Properties {
+	if !wholeDirSplits(s) {
+		return plan.Properties{}
+	}
+	metaOff := 0
+	if s.Meta {
+		metaOff = 3
+	}
+	part := make([]int, len(s.Table.PartKeys))
+	for k := range part {
+		i := slices.Index(s.Cols, len(s.Table.Cols)+k)
+		if i < 0 {
+			return plan.Properties{}
+		}
+		part[k] = metaOff + i
+	}
+	return plan.Properties{Partitioning: part}
+}
+
+// clone copies the scan's plan-time configuration into a fresh operator.
+func (s *ScanOp) clone() *ScanOp {
+	return &ScanOp{
+		FS: s.FS, Table: s.Table, Cols: s.Cols, Meta: s.Meta, Splits: s.Splits,
+		Sarg: s.Sarg, RF: s.RF, Prune: s.Prune, Ctx: s.Ctx, Stats: s.Stats, Shared: s.Shared,
+	}
+}

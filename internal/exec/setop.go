@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -72,6 +73,15 @@ func (u *UnionAllOp) Close() error {
 	}
 	return first
 }
+
+// Child implements Node.
+func (u *UnionAllOp) Child(i int) *Operator { return nthChild(i, u.Inputs) }
+
+// Describe implements Node.
+func (u *UnionAllOp) Describe(b *strings.Builder) { b.WriteString("UnionAll") }
+
+// Stage implements Node.
+func (u *UnionAllOp) Stage() Stage { return StagePipelined }
 
 // SetOpOp implements UNION [DISTINCT], INTERSECT [ALL] and EXCEPT [ALL]
 // using row-count maps (paper §3.1: set operations were among the SQL gaps
@@ -213,3 +223,13 @@ func (s *SetOpOp) Close() error {
 	}
 	return s.Right.Close()
 }
+
+// Child implements Node.
+func (s *SetOpOp) Child(i int) *Operator { return twoChildren(i, &s.Left, &s.Right) }
+
+// Describe implements Node.
+func (s *SetOpOp) Describe(b *strings.Builder) { fmt.Fprintf(b, "SetOp kind=%v", s.Kind) }
+
+// Stage implements Node: the row-count maps consume both inputs whole, but
+// the operator runs inside its consumer's vertex.
+func (s *SetOpOp) Stage() Stage { return StageBreaker }

@@ -16,6 +16,9 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -290,6 +293,20 @@ func (s *SortOp) Close() error {
 	return s.Input.Close()
 }
 
+// Child implements Node.
+func (s *SortOp) Child(i int) *Operator { return oneChild(i, &s.Input) }
+
+// Describe implements Node.
+func (s *SortOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "Sort keys=%s", sortKeysDigest(s.Keys))
+}
+
+// Stage implements Node.
+func (s *SortOp) Stage() Stage { return StageVertex | StageBreaker }
+
+// Delivers implements the property fact.
+func (s *SortOp) Delivers() plan.Properties { return plan.Properties{Ordering: s.Keys} }
+
 // topNHeap is a bounded max-heap keeping the limit smallest rows under a
 // key comparator. Ties order by arrival: the heap both evicts latest-among-
 // equals and sorts earliest-first, so its output matches a stable sort
@@ -467,3 +484,17 @@ func (t *TopNOp) Close() error {
 	}
 	return t.Input.Close()
 }
+
+// Child implements Node.
+func (t *TopNOp) Child(i int) *Operator { return oneChild(i, &t.Input) }
+
+// Describe implements Node.
+func (t *TopNOp) Describe(b *strings.Builder) {
+	fmt.Fprintf(b, "TopN n=%d keys=%s", t.N, sortKeysDigest(t.Keys))
+}
+
+// Stage implements Node.
+func (t *TopNOp) Stage() Stage { return StageVertex | StageBreaker }
+
+// Delivers implements the property fact.
+func (t *TopNOp) Delivers() plan.Properties { return plan.Properties{Ordering: t.Keys} }

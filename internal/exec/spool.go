@@ -17,13 +17,16 @@
 //   - Cursor: the worker clones of ONE parallelized consumer split the
 //     content morsel-style through a shared spoolCursor — each batch goes
 //     to exactly one clone, so the clones' merged output equals a single
-//     full replay. This is what lets clonable() admit spooled subtrees
+//     full replay. This is what lets cloneWorkers admit spooled subtrees
 //     into worker pipelines.
 package exec
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 
+	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -173,11 +176,26 @@ func (s *SpoolOp) Next() (*vector.Batch, error) {
 // Close implements Operator. The shared materialization intentionally
 // survives this consumer: other consumers elsewhere in the plan may not
 // have replayed yet. Context.CloseSpools reclaims it at query end.
+//
 //lint:ignore close-and-cancel spool lifetime is the query, not this consumer; Context.CloseSpools closes the shared input exactly once
 func (s *SpoolOp) Close() error {
 	s.pull = nil
 	return nil
 }
+
+// Child implements Node.
+func (s *SpoolOp) Child(i int) *Operator { return oneChild(i, &s.Input) }
+
+// Describe implements Node.
+func (s *SpoolOp) Describe(b *strings.Builder) { fmt.Fprintf(b, "Spool id=%d", s.ID) }
+
+// Stage implements Node.
+func (s *SpoolOp) Stage() Stage { return StagePipelined }
+
+// Delivers implements the property fact: replay is in materialization
+// (= input) order; a parallel shared cursor hands each consumer a
+// subsequence, which is still ordered but not partition-aligned.
+func (s *SpoolOp) Delivers() plan.Properties { return orderOf(s.Input) }
 
 // CloseSpools releases every shared spool — reservations returned, spill
 // runs removed. Runners call it once per query after the operator tree has

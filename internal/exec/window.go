@@ -672,6 +672,22 @@ func (w *WindowOp) Close() error {
 	return w.Input.Close()
 }
 
+// Child implements Node.
+func (w *WindowOp) Child(i int) *Operator { return oneChild(i, &w.Input) }
+
+// Describe implements Node.
+func (w *WindowOp) Describe(b *strings.Builder) {
+	b.WriteString("Window ")
+	b.WriteString(explainWindow(w))
+}
+
+// Stage implements Node.
+func (w *WindowOp) Stage() Stage { return StageVertex | StageBreaker }
+
+// Delivers implements the property fact: rows emit in arrival order with
+// appended function columns.
+func (w *WindowOp) Delivers() plan.Properties { return orderOf(w.Input) }
+
 // newReplay streams the operator's row store — spilled chunks then the
 // resident tail — in arrival order; withSeq appends the arrival ordinal as
 // a trailing bigint column for the external sort's tie-break and the
@@ -729,6 +745,8 @@ func (r *windowReplayOp) Close() error { return nil }
 // partition resident at a time. The partition working set is force-taken
 // from the governor — the single-partition residency is the external
 // plan's minimum, the same Grace assumption the agg and join drains make.
+//
+//lint:ignore operator-node built inside WindowOp's external pass at run time; never part of a planned tree
 type windowEvalOp struct {
 	Input  Operator
 	g      *windowGroup

@@ -132,6 +132,8 @@ func findHandlerScan(rel plan.Rel) *plan.Scan {
 }
 
 // ForeignScanOp executes a pushed query through a handler.
+//
+//lint:ignore operator-node a plan leaf: inner is the handler's reader, created at Open, not a planned input
 type ForeignScanOp struct {
 	Handler StorageHandler
 	Table   *metastore.Table

@@ -105,16 +105,6 @@ var knobRegistry = map[string]Knob{
 		Doc:     "decoded-vector cache capacity, charged by decoded size; fixed at server start (Config.DecodedCacheBytes)",
 		Startup: true,
 	},
-	"hive.sort.parallel": {
-		Default: "true",
-		Doc: "parallel ORDER BY / TopN: workers produce locally sorted runs (LIMIT pushed into each) " +
-			"merged through an order-preserving loser-tree exchange; false keeps the sort on the coordinator",
-	},
-	"hive.spool.parallel": {
-		Default: "true",
-		Doc: "shared-work spools feed parallel regions: worker clones split the published spool " +
-			"content through a shared cursor; false keeps spooled subtrees on serial pipelines",
-	},
 	"hive.planner.properties": {
 		Default: "true",
 		Doc: "property-driven physical planning (paper §4.1–4.2): carry delivered sort order and " +

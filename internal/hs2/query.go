@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/analyze"
@@ -51,7 +52,13 @@ func (s *Session) executeStmt(st sql.Statement, text string) (*Result, error) {
 	case *sql.ExplainStmt:
 		return s.explain(x.Inner)
 	case *sql.SetStmt:
-		s.SetConf(x.Key, x.Value)
+		// A hive.* key nobody reads would silently do nothing: reject it,
+		// as Hive's hive.conf.validation does. Other namespaces are free.
+		key := strings.ToLower(x.Key)
+		if _, known := knobRegistry[key]; !known && strings.HasPrefix(key, "hive.") {
+			return nil, fmt.Errorf("hs2: SET %s: unknown configuration key", key)
+		}
+		s.SetConf(key, x.Value)
 		return &Result{}, nil
 	case *sql.UseStmt:
 		if _, err := s.srv.MS.Tables(x.DB); err != nil {
@@ -639,9 +646,8 @@ func (s *Session) runOnce(qctx context.Context, rel plan.Rel, memLimit int64, ad
 	}
 	// Intra-query parallelism rides on LLAP executor slots (paper §5.1);
 	// MR and container modes stay serial like the paper's baselines.
-	dop := 1
 	if mode == dag.ModeLLAP {
-		dop = int(s.confInt("hive.parallelism"))
+		dop := int(s.confInt("hive.parallelism"))
 		if dop <= 0 {
 			dop = runtime.NumCPU()
 		}
@@ -711,18 +717,15 @@ func (s *Session) runOnce(qctx context.Context, rel plan.Rel, memLimit int64, ad
 	if err != nil {
 		return nil, err
 	}
+	ctx.TargetStripes = int(s.confInt("hive.split.target.stripes"))
+	ctx.PropsPlanning = s.confBool("hive.planner.properties")
 	runner := &dag.Runner{
 		Mode:            mode,
 		ContainerLaunch: time.Duration(s.confInt("hive.container.launch.ms")) * time.Millisecond,
 		FS:              s.srv.FS,
 		ScratchDir:      scratch,
 		Daemons:         s.srv.Daemons,
-		DOP:             dop,
 		Ctx:             ctx,
-		TargetStripes:   int(s.confInt("hive.split.target.stripes")),
-		SerialSort:      !s.confBool("hive.sort.parallel"),
-		SerialSpool:     !s.confBool("hive.spool.parallel"),
-		NoProps:         !s.confBool("hive.planner.properties"),
 	}
 	op, shape := runner.Prepare(op)
 	s.LastPhysicalPlan = exec.ExplainPhysical(op)

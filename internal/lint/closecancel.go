@@ -47,12 +47,34 @@ func runCloseAndCancel(w *Workspace) []Diagnostic {
 
 // operatorInterface finds a package-level interface named Operator.
 func operatorInterface(pkg *Package) *types.Interface {
-	obj := pkg.Types.Scope().Lookup("Operator")
+	return packageInterface(pkg, "Operator")
+}
+
+// packageInterface finds a package-level interface by name.
+func packageInterface(pkg *Package, name string) *types.Interface {
+	obj := pkg.Types.Scope().Lookup(name)
 	if obj == nil {
 		return nil
 	}
 	iface, _ := obj.Type().Underlying().(*types.Interface)
 	return iface
+}
+
+// operatorInputFields names the struct's fields typed Operator or
+// []Operator: the inputs it owns.
+func operatorInputFields(st *types.Struct, iface *types.Interface) []string {
+	var fields []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		ft := f.Type()
+		if sl, isSlice := ft.Underlying().(*types.Slice); isSlice {
+			ft = sl.Elem()
+		}
+		if types.Identical(ft, iface.Underlying()) || isNamedOperator(ft, iface) {
+			fields = append(fields, f.Name())
+		}
+	}
+	return fields
 }
 
 // checkCloseDiscipline verifies every Operator implementation closes its
@@ -90,17 +112,7 @@ func checkCloseDiscipline(w *Workspace, pkg *Package, iface *types.Interface) []
 		if !types.Implements(types.NewPointer(named), iface) && !types.Implements(named, iface) {
 			continue
 		}
-		var inputFields []string
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			ft := f.Type()
-			if sl, isSlice := ft.Underlying().(*types.Slice); isSlice {
-				ft = sl.Elem()
-			}
-			if types.Identical(ft, iface.Underlying()) || isNamedOperator(ft, iface) {
-				inputFields = append(inputFields, f.Name())
-			}
-		}
+		inputFields := operatorInputFields(st, iface)
 		if len(inputFields) == 0 {
 			continue
 		}

@@ -43,6 +43,7 @@ func Analyzers() []*Analyzer {
 		CloseAndCancel,
 		ConfKnobRegistry,
 		NoRowBoxing,
+		OperatorNode,
 	}
 }
 

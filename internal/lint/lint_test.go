@@ -19,6 +19,7 @@ var fixtureAnalyzers = map[string]*Analyzer{
 	"closecancel": CloseAndCancel,
 	"knobs":       ConfKnobRegistry,
 	"rowboxing":   NoRowBoxing,
+	"opnode":      OperatorNode,
 }
 
 var wantRe = regexp.MustCompile(`// want "([^"]+)"`)

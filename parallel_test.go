@@ -186,7 +186,6 @@ func createOrdTable(s *Session) {
 // tied keys. Queries assert stable-order columns only where the sort keys
 // are unique per row (tie order across dynamically assigned runs is
 // legitimately nondeterministic, so the tie query projects only its key).
-// Disabling hive.sort.parallel must also reproduce serial output.
 func TestParallelOrderByMatchesSerial(t *testing.T) {
 	wh, err := Open(Config{})
 	if err != nil {
@@ -216,7 +215,6 @@ func TestParallelOrderByMatchesSerial(t *testing.T) {
 	}
 	for _, q := range queries {
 		s.SetConf("hive.parallelism", "1")
-		s.SetConf("hive.sort.parallel", "true")
 		base, err := s.Exec(q)
 		if err != nil {
 			t.Fatalf("serial %s: %v", q, err)
@@ -231,15 +229,6 @@ func TestParallelOrderByMatchesSerial(t *testing.T) {
 			if got := res.String(); got != want {
 				t.Errorf("dop=%s %s: ordered output diverges from serial\n got %q\nwant %q", dop, q, got, want)
 			}
-		}
-		s.SetConf("hive.parallelism", "4")
-		s.SetConf("hive.sort.parallel", "false")
-		res, err := s.Exec(q)
-		if err != nil {
-			t.Fatalf("sort.parallel=false %s: %v", q, err)
-		}
-		if got := res.String(); got != want {
-			t.Errorf("sort.parallel=false %s: output diverges\n got %q\nwant %q", q, got, want)
 		}
 	}
 }

@@ -151,3 +151,58 @@ func TestPhysicalPlanGolden(t *testing.T) {
 		}
 	}
 }
+
+// stripSpillExchanges removes the SpillExchange lines of an MR-mode plan
+// and dedents each removed line's subtree one level, returning the plan and
+// how many lines it removed.
+func stripSpillExchanges(plan string) (string, int) {
+	var out strings.Builder
+	var open []int // depths of removed lines whose subtrees are still open
+	removed := 0
+	for _, line := range strings.SplitAfter(plan, "\n") {
+		text := strings.TrimLeft(line, " ")
+		depth := (len(line) - len(text)) / 2
+		for len(open) > 0 && depth <= open[len(open)-1] {
+			open = open[:len(open)-1]
+		}
+		if text == "SpillExchange\n" {
+			open = append(open, depth)
+			removed++
+			continue
+		}
+		out.WriteString(strings.Repeat("  ", depth-len(open)))
+		out.WriteString(text)
+	}
+	return out.String(), removed
+}
+
+// TestMRPlanRendersBelowSpillExchange is the regression for MR-mode
+// LastPhysicalPlan stopping at the first stage boundary: the MR plan is the
+// container plan with one SpillExchange on every input of every pipeline
+// breaker, and nothing else differs.
+func TestMRPlanRendersBelowSpillExchange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping TPC-DS setup")
+	}
+	s := planGoldenWarehouse(t)
+	s.SetConf("hive.parallelism", "1")
+	breakerInputs := map[string]int{"HashJoin": 2, "SetOp": 2, "HashAgg": 1, "Sort": 1, "TopN": 1, "Window": 1}
+	for name, q := range planGoldenQueries() {
+		s.SetConf("hive.execution.mode", "container")
+		container := physPlan(t, s, q)
+		s.SetConf("hive.execution.mode", "mr")
+		mr := physPlan(t, s, q)
+		stripped, spills := stripSpillExchanges(mr)
+		if stripped != container {
+			t.Errorf("%s: mr plan without its SpillExchange lines differs from the container plan\n mr:\n%s\ncontainer:\n%s", name, mr, container)
+		}
+		want := 0
+		for _, line := range strings.Split(container, "\n") {
+			kind, _, _ := strings.Cut(strings.TrimLeft(line, " "), " ")
+			want += breakerInputs[kind]
+		}
+		if spills != want || spills == 0 {
+			t.Errorf("%s: %d SpillExchange lines, want one per breaker input = %d\n%s", name, spills, want, mr)
+		}
+	}
+}
