@@ -1,21 +1,22 @@
 GO ?= go
 
-.PHONY: check build test vet race lint spill props serve elevator join hammer bench
+.PHONY: check build test vet race lint spill props serve elevator join window hammer bench
 
 # check is the CI gate: vet, build, a -race short-test pass over every
 # package (catches data races in the parallel scan/agg/join paths, the
 # stripe-granular morsel sharing and the shared memory governor), the
 # full suite, then the constrained-budget spill regressions — the spill
 # path can never silently rot because check always executes it.
-check: vet build lint race test spill props serve elevator join
+check: vet build lint race test spill props serve elevator join window
 
 vet:
 	$(GO) vet ./...
 
 # lint builds and runs hivelint (cmd/hivelint), the repo-invariant
 # static-analysis suite: reservation-balance, snapshot-pinning,
-# no-alias-escape, close-and-cancel, conf-knob-registry, no-row-boxing and
-# operator-node analyzers over every package. Any unsuppressed finding fails check; deliberate
+# no-alias-escape, close-and-cancel, conf-knob-registry, no-row-boxing (Batch.Row
+# in a loop, and [][]Datum fields on exec operators) and operator-node
+# analyzers over every package. Any unsuppressed finding fails check; deliberate
 # exceptions carry //lint:ignore <analyzer> <reason> annotations, and the
 # golden-diagnostic fixtures for each analyzer run under `make test`
 # (go test ./internal/lint).
@@ -90,6 +91,22 @@ elevator:
 join:
 	$(GO) test -race -count=1 -run 'JoinOracle|BuildFilterValueCap' ./internal/exec
 	$(GO) test -race -count=1 -run 'JoinOrderGolden|SerialPlansShareSmallExecutorPool' .
+
+# window is the columnar-materialization gate (PR 15), all under -race: the
+# nested-loop window oracle against WindowOp for eight functions x partition
+# and order shapes x resident/spilling budget x properties on/off x sorted
+# input, the vector comparator against compareKey, the operator- and
+# SQL-level spilled-vs-resident equivalence (budgets derived from the store's
+# accounted bytes, so "did spill" stays true whatever a stored row costs),
+# cancellation inside the sort passes and the partition loop of a
+# million-row sort and window, the spool's zero-copy views under two
+# concurrent parallel consumers, and the TopN heap's reservation. The
+# microbenchmarks of the same operators:
+#
+#	go test -run '^$$' -bench 'SortOp|WindowResident|SpoolReplay' -benchmem ./internal/exec
+window:
+	$(GO) test -race -count=1 -run 'WindowOracle|WindowSpillOperatorEquivalence|VectorComparatorMatchesCompareKey|CancelInsideBlockingPhase|SpoolViewsImmutable' ./internal/exec
+	$(GO) test -race -count=1 -run 'BeyondMemoryWindow|WindowSpillProperty|WindowCancelMidQuery|TopNHeapIsGoverned' .
 
 # hammer is the multi-tenant overload gate: ~200 concurrent sessions
 # across two memory-budgeted WM pools (tiny lookups + beyond-memory

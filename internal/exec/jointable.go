@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 
-	"repro/internal/spill"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -145,48 +144,4 @@ func evalKeys(exprs []*CompiledExpr, b *vector.Batch, dst []*vector.Vector) ([]*
 		dst = append(dst, v)
 	}
 	return dst, nil
-}
-
-// rowBoxer is the one place the join boxes rows: spill run files are
-// row-encoded, so a flush boxes a block at a time into buffers it reuses
-// for every block and file (the writer encodes a block before Append
-// returns).
-type rowBoxer struct {
-	flat  []types.Datum
-	block [][]types.Datum
-}
-
-// spill writes n rows of the given columns — physical rows sel[0:n], or
-// 0..n-1 when sel is nil, each led by its key hash when hashes is non-nil —
-// as one run file and returns its path.
-func (x *rowBoxer) spill(ctx *Context, prefix string, hashes []uint64, cols []*vector.Vector, sel []int32, n int) (string, error) {
-	fs, _ := ctx.spillTarget()
-	w := spill.NewWriter(fs, ctx.SpillPath(prefix))
-	width := len(cols)
-	if hashes != nil {
-		width++
-	}
-	if need := min(n, vector.BatchSize) * width; len(x.flat) < need {
-		x.flat = make([]types.Datum, need)
-	}
-	for start := 0; start < n; start += vector.BatchSize {
-		x.block = x.block[:0]
-		for i := start; i < n && i < start+vector.BatchSize; i++ {
-			r := i
-			if sel != nil {
-				r = int(sel[i])
-			}
-			at := len(x.block) * width
-			row := x.flat[at : at : at+width]
-			if hashes != nil {
-				row = append(row, types.NewBigint(int64(hashes[r])))
-			}
-			for _, c := range cols {
-				row = append(row, c.Get(r))
-			}
-			x.block = append(x.block, row)
-		}
-		w.Append(x.block)
-	}
-	return closeRunFile(ctx, w)
 }

@@ -217,8 +217,8 @@ func rowBytes(row []types.Datum) int64 {
 
 // writeRunFile spills rows as one block-framed run file under a fresh
 // prefix-named scratch path, notes the bytes with the governor, and
-// returns the file's path — the one write path every spilling operator
-// (sort runs, agg partitions, join build/probe partitions) shares.
+// returns the file's path — the write path of state that is boxed by
+// nature (the hash aggregate's encoded groups).
 func writeRunFile(ctx *Context, prefix string, rows [][]types.Datum) (string, error) {
 	fs, _ := ctx.spillTarget()
 	w := spill.NewWriter(fs, ctx.SpillPath(prefix))
@@ -243,65 +243,163 @@ func closeRunFile(ctx *Context, w *spill.Writer) (string, error) {
 	return w.Path(), nil
 }
 
-// rowStore is the governed arrival-order row store shared by operators
-// that materialize and replay their input verbatim (window input chunks,
-// spool replay buffers): rows accumulate under a reservation and flush to
-// run files when the governor denies growth. The stored order is always
-// arrival order — runs in flush order, then the resident tail.
+// rowBoxer is the one place columnar state is boxed for a spill: run files
+// are row-encoded, so a flush boxes a block at a time into buffers it reuses
+// for every block and file (the writer encodes a block before Append
+// returns) — never a second resident copy of what is being spilled.
+type rowBoxer struct {
+	flat  []types.Datum
+	block [][]types.Datum
+}
+
+// spill writes n rows of the given columns — physical rows sel[0:n], or
+// 0..n-1 when sel is nil, each led by its key hash when hashes is non-nil —
+// as one run file and returns its path.
+func (x *rowBoxer) spill(ctx *Context, prefix string, hashes []uint64, cols []*vector.Vector, sel []int32, n int) (string, error) {
+	fs, _ := ctx.spillTarget()
+	w := spill.NewWriter(fs, ctx.SpillPath(prefix))
+	width := len(cols)
+	if hashes != nil {
+		width++
+	}
+	if need := min(n, vector.BatchSize) * width; len(x.flat) < need {
+		x.flat = make([]types.Datum, need)
+	}
+	for start := 0; start < n; start += vector.BatchSize {
+		x.block = x.block[:0]
+		for i := start; i < n && i < start+vector.BatchSize; i++ {
+			r := i
+			if sel != nil {
+				r = int(sel[i])
+			}
+			at := len(x.block) * width
+			row := x.flat[at : at : at+width]
+			if hashes != nil {
+				row = append(row, types.NewBigint(int64(hashes[r])))
+			}
+			for _, c := range cols {
+				row = append(row, c.Get(r))
+			}
+			x.block = append(x.block, row)
+		}
+		w.Append(x.block)
+	}
+	return closeRunFile(ctx, w)
+}
+
+// rowStore is the governed columnar row store under the operators that
+// materialize their input (window input, spool replay buffers, sort runs):
+// one growing vector per column, filled by copy — an input batch may be a
+// shared cache vector or be reused by its producer — and accounted by the
+// bytes the columns hold, growth slack included. When the governor denies
+// growth the resident rows flush to a run file through the boxer and the
+// store starts over empty. The stored order is arrival order: runs in flush
+// order, then the resident rows.
 type rowStore struct {
-	ctx     *Context
-	res     *Reservation
-	prefix  string
-	rows    [][]types.Datum
+	ctx    *Context
+	res    *Reservation
+	prefix string
+	ts     []types.T
+
+	cols     []*vector.Vector
+	n        int
+	strBytes int64 // payload bytes of the resident string values
+	held     int64 // bytes accounted for the resident columns
+
 	runs    []string
 	spilled bool
+	boxer   rowBoxer
 }
 
-// newRowStore opens a store accounting under op's reservation, spilling
-// prefix-named run files.
-func newRowStore(ctx *Context, op, prefix string) *rowStore {
-	return &rowStore{ctx: ctx, res: ctx.Governor().Reserve(op), prefix: prefix}
+// newRowStore opens a store of ts-typed columns accounting under op's
+// reservation, spilling prefix-named run files.
+func newRowStore(ctx *Context, op, prefix string, ts []types.T) *rowStore {
+	st := &rowStore{ctx: ctx, res: ctx.Governor().Reserve(op), prefix: prefix, ts: ts}
+	st.reset()
+	return st
 }
 
-// appendBatch materializes and accounts one input batch, flushing the
-// resident rows as an arrival-order run file when the reservation is
-// denied and holds enough to be worth a file.
-func (st *rowStore) appendBatch(b *vector.Batch) error {
-	var sz int64
-	for i := 0; i < b.N; i++ {
-		//lint:ignore no-row-boxing rowStore (window input, spool replay) is the next boxed structure to go columnar, after the sort (ROADMAP 5b)
-		row := b.Row(i)
-		st.rows = append(st.rows, row)
-		sz += rowBytes(row)
+// reset drops the resident rows.
+func (st *rowStore) reset() {
+	st.cols = make([]*vector.Vector, len(st.ts))
+	for c, t := range st.ts {
+		st.cols[c] = vector.New(t, 0)
 	}
-	if st.res.Grow(sz) {
-		return nil
+	st.n, st.strBytes, st.held = 0, 0, 0
+}
+
+// appendBatch copies one input batch's live rows onto the columns and
+// accounts what they grew by. It reports whether the caller should flush:
+// the reservation was denied and holds enough to be worth a file.
+func (st *rowStore) appendBatch(b *vector.Batch) (full bool) {
+	for c, col := range st.cols {
+		col.AppendRows(b.Cols[c], b.Sel, b.N)
+		if col.Type.Kind == types.String {
+			for _, s := range col.Str[st.n:] {
+				st.strBytes += int64(len(s))
+			}
+		}
 	}
-	st.res.ForceGrow(sz)
-	if _, ok := st.ctx.spillTarget(); !ok || !st.res.ShouldSpill() {
-		return nil
+	st.n += b.N
+	now := st.strBytes
+	for _, col := range st.cols {
+		now += col.CapBytes()
 	}
-	path, err := writeRunFile(st.ctx, st.prefix, st.rows)
+	grew := now - st.held
+	st.held = now
+	if st.res.Grow(grew) {
+		return false
+	}
+	st.res.ForceGrow(grew)
+	_, ok := st.ctx.spillTarget()
+	return ok && st.res.ShouldSpill()
+}
+
+// flush writes the resident rows — in sel order when sel is non-nil, in
+// arrival order otherwise — as one run file, then empties the store and
+// returns its whole reservation, including whatever the caller took on top
+// for its sort index.
+func (st *rowStore) flush(sel []int32) error {
+	path, err := st.boxer.spill(st.ctx, st.prefix, nil, st.cols, sel, st.n)
 	if err != nil {
 		return err
 	}
 	st.runs = append(st.runs, path)
-	st.rows = nil
+	st.reset()
 	st.res.Release()
 	st.spilled = true
 	return nil
 }
 
-// replay returns a fresh pull over the stored content in arrival order.
-// Safe for concurrent replays once writing has stopped: each pull owns
-// its readers and the store is read-only.
-func (st *rowStore) replay(ts []types.T) func() (*vector.Batch, error) {
+// appendOrFlush is appendBatch for stores that spill in arrival order.
+func (st *rowStore) appendOrFlush(b *vector.Batch) error {
+	if st.appendBatch(b) {
+		return st.flush(nil)
+	}
+	return nil
+}
+
+// gather returns the resident rows idx, in that order, as a fresh batch.
+func (st *rowStore) gather(idx []int32) *vector.Batch {
+	out := vector.NewBatch(st.ts, len(idx))
+	for c, col := range st.cols {
+		out.Cols[c].Gather(0, col, idx)
+	}
+	out.N = len(idx)
+	return out
+}
+
+// replay returns a fresh pull over the stored content in arrival order: the
+// run files, then views of the resident rows. Safe for concurrent replays
+// once writing has stopped: each pull owns its readers and the store is
+// read-only.
+func (st *rowStore) replay() func() (*vector.Batch, error) {
 	var filePull func() (*vector.Batch, error)
 	if len(st.runs) > 0 {
 		fs, _ := st.ctx.spillTarget()
-		filePull = runFilePuller(fs, st.runs, ts)
+		filePull = runFilePuller(fs, st.runs, st.ts)
 	}
-	mem := 0
+	at := 0
 	return func() (*vector.Batch, error) {
 		if filePull != nil {
 			b, err := filePull()
@@ -310,12 +408,12 @@ func (st *rowStore) replay(ts []types.T) func() (*vector.Batch, error) {
 			}
 			filePull = nil
 		}
-		b := emitRows(st.rows, mem, ts)
-		if b == nil {
+		if at >= st.n {
 			return nil, nil
 		}
-		mem += b.N
-		return b, nil
+		lo := at
+		at = min(at+vector.BatchSize, st.n)
+		return viewOf(st.cols, lo, at), nil
 	}
 }
 
@@ -325,7 +423,7 @@ func (st *rowStore) close() {
 		return
 	}
 	st.ctx.removeSpills(st.runs)
-	st.rows, st.runs = nil, nil
+	st.cols, st.runs, st.n = nil, nil, 0
 	st.res.Release()
 }
 

@@ -10,7 +10,7 @@
 //
 // The same loser tree also drains the external sort (sort.go): run cursors
 // are source-agnostic, so worker channels, spilled run files on the DFS
-// and in-memory row slices merge uniformly.
+// and the sort's resident remainder merge uniformly.
 package exec
 
 import (
@@ -28,8 +28,8 @@ import (
 // (b, i) in place — never materialized to a datum slice, this is the
 // merge's hot loop — and b == nil marks an exhausted run. pull supplies the
 // next batch from whatever backs the run (a worker channel, a spill file,
-// a row slice); returning (nil, nil) ends the run, and a pull error parks
-// in err and ends the run too.
+// a gather over resident columns); returning (nil, nil) ends the run, and a
+// pull error parks in err and ends the run too.
 type runCursor struct {
 	pull func() (*vector.Batch, error)
 	b    *vector.Batch
@@ -120,19 +120,6 @@ func runFilePuller(fs *dfs.FS, paths []string, ts []types.T) func() (*vector.Bat
 // makes the merge beyond-memory capable.
 func fileRunCursor(fs *dfs.FS, path string, ts []types.T) *runCursor {
 	return &runCursor{pull: runFilePuller(fs, []string{path}, ts)}
-}
-
-// memRunCursor emits an in-memory sorted run.
-func memRunCursor(rows [][]types.Datum, ts []types.T) *runCursor {
-	start := 0
-	return &runCursor{pull: func() (*vector.Batch, error) {
-		b := emitRows(rows, start, ts)
-		if b == nil {
-			return nil, nil
-		}
-		start += b.N
-		return b, nil
-	}}
 }
 
 // loserTree is the k-way merge tournament: leaves are run cursors, each
@@ -464,9 +451,9 @@ type ParallelTopNOp struct {
 	Ctx     *Context
 	merges  []statMerge
 
-	rows    [][]types.Datum
-	done    bool
-	emitted int
+	res  *Reservation
+	out  batchViews // the kept rows past the offset, in key order
+	done bool
 }
 
 // Types implements Operator.
@@ -474,7 +461,10 @@ func (t *ParallelTopNOp) Types() []types.T { return t.Workers[0].Types() }
 
 // Open implements Operator. Worker pipelines open on their goroutines.
 func (t *ParallelTopNOp) Open() error {
-	t.rows, t.emitted = nil, 0
+	t.out = batchViews{}
+	if t.res == nil {
+		t.res = t.Ctx.Governor().Reserve("topn")
+	}
 	// N == 0 short-circuits to EOF without ever opening a worker,
 	// mirroring the serial TopNOp.
 	t.done = t.N <= 0
@@ -483,31 +473,30 @@ func (t *ParallelTopNOp) Open() error {
 
 // run executes both phases: parallel per-worker TopN, then the final heap
 // merge. Ties across workers follow run assignment, which is dynamic —
-// like every parallel exchange here, only key order is deterministic.
+// like every parallel exchange here, only key order is deterministic. The
+// worker heaps and the final one share the operator's reservation.
 func (t *ParallelTopNOp) run() error {
 	keep := t.N + t.Offset
 	locals := make([][][]types.Datum, len(t.Workers))
 	err := runPhased(t.Ctx, len(t.Workers), func(w int) error {
-		local := &TopNOp{Input: t.Workers[w], Keys: t.Keys, N: keep, Ctx: t.Ctx}
+		local := &TopNOp{Input: t.Workers[w], Keys: t.Keys, N: keep, Ctx: t.Ctx, res: t.res}
 		if err := local.Open(); err != nil {
 			return err
 		}
-		if err := local.consume(); err != nil {
-			return err
-		}
-		locals[w] = local.rows
-		return nil
+		rows, err := local.consume()
+		locals[w] = rows
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	final := newTopNHeap(t.Keys, keep)
+	final := newTopNHeap(t.Keys, keep, t.res)
 	for _, rows := range locals {
 		for _, r := range rows {
-			final.push(r)
+			final.add(r)
 		}
 	}
-	t.rows = dropOffset(final.sorted(), t.Offset)
+	t.out.b = rowsBatch(dropOffset(final.sorted(), t.Offset), t.Types())
 	return nil
 }
 
@@ -519,17 +508,13 @@ func (t *ParallelTopNOp) Next() (*vector.Batch, error) {
 		}
 		t.done = true
 	}
-	out := emitRows(t.rows, t.emitted, t.Types())
-	if out == nil {
-		return nil, nil
-	}
-	t.emitted += out.N
-	return out, nil
+	return t.out.next(), nil
 }
 
 // Close implements Operator.
 func (t *ParallelTopNOp) Close() error {
-	t.rows = nil
+	t.out = batchViews{}
+	t.res.Release()
 	return closeWorkers(t.Workers, t.merges)
 }
 

@@ -81,6 +81,19 @@ func randomRows(rng *rand.Rand, n int) [][]types.Datum {
 	return rows
 }
 
+// sortLess and sortRows are the tests' reference order: the datum-level
+// comparator under the standard library's stable sort, sharing nothing with
+// the engine's index sort over column vectors.
+func sortLess(keys []plan.SortKey) func(a, b []types.Datum) bool {
+	cmp := sortCompare(keys)
+	return func(a, b []types.Datum) bool { return cmp(a, b) < 0 }
+}
+
+func sortRows(rows [][]types.Datum, keys []plan.SortKey) {
+	less := sortLess(keys)
+	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+}
+
 func randomKeys(rng *rand.Rand) []plan.SortKey {
 	keys := []plan.SortKey{{Col: 0, Desc: rng.Intn(2) == 0, NullsFirst: rng.Intn(2) == 0}}
 	if rng.Intn(2) == 0 {
@@ -161,9 +174,19 @@ func runTopNHeapTrial(t *testing.T, rng *rand.Rand) {
 	rows := randomRows(rng, rng.Intn(100))
 	keys := randomKeys(rng)
 	n := int64(rng.Intn(20))
-	h := newTopNHeap(keys, n)
-	for _, r := range rows {
-		h.push(r)
+	h := newTopNHeap(keys, n, nil)
+	if len(rows) > 0 {
+		// One batch with a selection vector, so push compares in place on
+		// physical rows that differ from the live ordinals.
+		b := rowsBatch(append([][]types.Datum{rows[0]}, rows...), mergeTestTypes)
+		b.Sel = make([]int, len(rows))
+		for i := range b.Sel {
+			b.Sel[i] = i + 1
+		}
+		b.N = len(rows)
+		for i := 0; i < b.N; i++ {
+			h.push(b, i)
+		}
 	}
 	got := h.sorted()
 	want := append([][]types.Datum{}, rows...)

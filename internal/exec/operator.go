@@ -247,6 +247,7 @@ func (e ErrMemoryPressure) Error() string {
 
 // ValuesOp emits a fixed set of rows.
 type ValuesOp struct {
+	//lint:ignore no-row-boxing literal rows arrive boxed from the plan (INSERT ... VALUES, folded constants); they become one batch on the first Next
 	Rows [][]types.Datum
 	Ts   []types.T
 	done bool

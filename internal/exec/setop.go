@@ -93,6 +93,7 @@ type SetOpOp struct {
 	Right Operator
 	Ctx   *Context
 
+	//lint:ignore no-row-boxing set operations count rows by a string key of the boxed row and emit what they kept; the follow-up that hashes the vectors makes this columnar
 	out     [][]types.Datum
 	done    bool
 	emitted int

@@ -1,18 +1,19 @@
 // Sorting operators: memory-governed external sort (ORDER BY), bounded-heap
-// TopN (ORDER BY + LIMIT [OFFSET]) and the row comparator they share with
-// the parallel merge exchange (merge.go). Under a parallel plan each worker
+// TopN (ORDER BY + LIMIT [OFFSET]) and the comparators they share with the
+// parallel merge exchange (merge.go). Under a parallel plan each worker
 // produces a locally sorted run with these same operators, so the
 // comparator must be identical across the serial sort, the per-worker runs
 // and the k-way merge for parallel ORDER BY to reproduce serial output
 // exactly.
 //
-// SortOp is beyond-memory capable: rows are accounted against the query's
-// memory governor, and when a reservation is denied the accumulated rows
-// stable-sort into a run spilled to the DFS scratch directory. The drain
-// then merges the file-backed runs and the in-memory remainder through the
-// same loser tree the parallel merge uses. Runs spill in arrival order and
-// ties break toward the lower run index, so the merged output reproduces
-// the in-memory stable sort byte for byte.
+// SortOp is columnar and beyond-memory capable: input batches copy onto the
+// column vectors of a rowStore accounted against the query's memory
+// governor, the sort permutes an int32 index over the key columns, and when
+// a reservation is denied the resident rows go to a run file in index order.
+// The drain then merges the file-backed runs and the resident remainder
+// through the same loser tree the parallel merge uses. Runs spill in arrival
+// order and ties break toward the lower run index, so the merged output
+// reproduces the in-memory stable sort byte for byte.
 package exec
 
 import (
@@ -26,8 +27,10 @@ import (
 
 // compareKey orders two datums under one sort key: negative when x comes
 // first. NULLS FIRST puts NULL before non-NULL regardless of direction.
-// It is the single ordering definition shared by SortOp, the TopN heaps,
-// the loser-tree merge and the parallel planner's sorted-run workers.
+// It is the ordering's definition: the TopN heaps apply it to their boxed
+// rows, and the vector kernels the sort, the window and the loser-tree merge
+// run on (Vector.CompareRow, Vector.Comparator) are property-tested to agree
+// with it on every pair of values.
 func compareKey(k plan.SortKey, x, y types.Datum) int {
 	if x.Null || y.Null {
 		if x.Null && y.Null {
@@ -49,9 +52,8 @@ func compareKey(k plan.SortKey, x, y types.Datum) int {
 	return c
 }
 
-// sortCompare builds the 3-way row comparator for a key set; a single call
-// answers both orderings, which the heaps and the loser tree need to
-// detect ties without comparing twice.
+// sortCompare builds the 3-way comparator of boxed rows for a key set — the
+// TopN heap's, whose kept rows are the one boxed structure here.
 func sortCompare(keys []plan.SortKey) func(a, b []types.Datum) int {
 	return func(a, b []types.Datum) int {
 		for _, k := range keys {
@@ -63,14 +65,14 @@ func sortCompare(keys []plan.SortKey) func(a, b []types.Datum) int {
 	}
 }
 
-// sortCompareAt is sortCompare over batch rows in place — the allocation-
-// free form for the merge's hot loop (Batch.Row materializes a datum slice
-// per call and is documented as not for hot loops).
+// sortCompareAt is the comparator over batch rows in place — the merge's
+// hot loop reads the column vectors directly (vector.CompareRow is
+// compareKey without the datums).
 func sortCompareAt(keys []plan.SortKey) func(ab *vector.Batch, ai int, bb *vector.Batch, bi int) int {
 	return func(ab *vector.Batch, ai int, bb *vector.Batch, bi int) int {
 		ar, br := ab.RowIdx(ai), bb.RowIdx(bi)
 		for _, k := range keys {
-			if c := compareKey(k, ab.Cols[k.Col].Get(ar), bb.Cols[k.Col].Get(br)); c != 0 {
+			if c := ab.Cols[k.Col].CompareRow(ar, bb.Cols[k.Col], br, k.Desc, k.NullsFirst); c != 0 {
 				return c
 			}
 		}
@@ -78,57 +80,92 @@ func sortCompareAt(keys []plan.SortKey) func(ab *vector.Batch, ai int, bb *vecto
 	}
 }
 
-func sortLess(keys []plan.SortKey) func(a, b []types.Datum) bool {
-	cmp := sortCompare(keys)
-	return func(a, b []types.Datum) bool { return cmp(a, b) < 0 }
-}
-
-func sortRows(rows [][]types.Datum, keys []plan.SortKey) {
-	stableSort(rows, sortLess(keys))
-}
-
-// stableSort is a merge sort keeping input order for equal keys.
-func stableSort(rows [][]types.Datum, less func(a, b []types.Datum) bool) {
-	if len(rows) < 2 {
-		return
+// rowComparator is the comparator over row ordinals of one set of resident
+// columns, each key column's type dispatch resolved once. The columns must
+// be complete: the comparator holds their backing arrays.
+func rowComparator(cols []*vector.Vector, keys []plan.SortKey) func(a, b int32) int {
+	cmps := make([]func(a, b int32) int, len(keys))
+	for i, k := range keys {
+		cmps[i] = cols[k.Col].Comparator(k.Desc, k.NullsFirst)
 	}
-	tmp := make([][]types.Datum, len(rows))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if less(rows[j], rows[i]) {
-				tmp[k] = rows[j]
-				j++
-			} else {
-				tmp[k] = rows[i]
-				i++
+	if len(cmps) == 1 {
+		return cmps[0]
+	}
+	return func(a, b int32) int {
+		for _, cmp := range cmps {
+			if c := cmp(a, b); c != 0 {
+				return c
 			}
-			k++
 		}
-		for i < mid {
-			tmp[k] = rows[i]
-			i++
-			k++
-		}
-		for j < hi {
-			tmp[k] = rows[j]
-			j++
-			k++
-		}
-		copy(rows[lo:hi], tmp[lo:hi])
+		return 0
 	}
-	ms(0, len(rows))
 }
 
-// emitRows renders rows starting at ordinal start into a batch, or nil when
-// exhausted (shared emission loop of the materializing operators).
+// identityIndex returns the row ordinals 0..n-1: arrival order.
+func identityIndex(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// sortIndex stably sorts row ordinals under cmp: equal rows keep the order
+// they have in idx, so sorting arrival order breaks ties by arrival. It is
+// the engine's one sort — insertion-sorted short runs, then bottom-up merge
+// passes between idx and tmp (len(tmp) >= len(idx)) — and polls for
+// cancellation on entry and once per pass, never per row.
+func sortIndex(ctx *Context, idx, tmp []int32, cmp func(a, b int32) int) error {
+	const run = 8
+	n := len(idx)
+	if err := ctx.CheckCanceled(); err != nil {
+		return err
+	}
+	for lo := 0; lo < n; lo += run {
+		for i, hi := lo+1, min(lo+run, n); i < hi; i++ {
+			x, j := idx[i], i
+			for ; j > lo && cmp(x, idx[j-1]) < 0; j-- {
+				idx[j] = idx[j-1]
+			}
+			idx[j] = x
+		}
+	}
+	src, dst := idx, tmp[:n]
+	for width := run; width < n; width *= 2 {
+		if err := ctx.CheckCanceled(); err != nil {
+			return err
+		}
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:hi]
+			if len(b) == 0 || cmp(a[len(a)-1], b[0]) <= 0 {
+				copy(out, src[lo:hi]) // already in order
+				continue
+			}
+			i, j, k := 0, 0, 0
+			for i < len(a) && j < len(b) {
+				if cmp(b[j], a[i]) < 0 {
+					out[k] = b[j]
+					j++
+				} else {
+					out[k] = a[i]
+					i++
+				}
+				k++
+			}
+			k += copy(out[k:], a[i:])
+			copy(out[k:], b[j:])
+		}
+		src, dst = dst, src
+	}
+	if n > 0 && &src[0] != &idx[0] {
+		copy(idx, src)
+	}
+	return nil
+}
+
+// emitRows renders boxed rows starting at ordinal start into a batch, or nil
+// when exhausted — how rows decoded from a spill file re-enter the engine.
 func emitRows(rows [][]types.Datum, start int, ts []types.T) *vector.Batch {
 	if start >= len(rows) {
 		return nil
@@ -137,14 +174,47 @@ func emitRows(rows [][]types.Datum, start int, ts []types.T) *vector.Batch {
 	if n > vector.BatchSize {
 		n = vector.BatchSize
 	}
-	out := vector.NewBatch(ts, n)
-	for i := 0; i < n; i++ {
-		for c, d := range rows[start+i] {
+	return rowsBatch(rows[start:start+n], ts)
+}
+
+// rowsBatch renders boxed rows as one dense batch.
+func rowsBatch(rows [][]types.Datum, ts []types.T) *vector.Batch {
+	out := vector.NewBatch(ts, len(rows))
+	for i, row := range rows {
+		for c, d := range row {
 			out.Cols[c].Set(i, d)
 		}
 	}
-	out.N = n
+	out.N = len(rows)
 	return out
+}
+
+// viewOf returns rows lo..hi-1 of dense columns as a batch of zero-copy
+// column slices. Consumers treat the batches they pull as read-only, which
+// is what lets views of one set of columns be handed out more than once.
+func viewOf(cols []*vector.Vector, lo, hi int) *vector.Batch {
+	out := make([]*vector.Vector, len(cols))
+	for c, col := range cols {
+		out[c] = col.Slice(lo, hi)
+	}
+	return &vector.Batch{Cols: out, N: hi - lo}
+}
+
+// batchViews hands a dense batch of any length out BatchSize rows at a time,
+// as views.
+type batchViews struct {
+	b  *vector.Batch
+	at int
+}
+
+// next returns the next view, or nil when the batch (possibly nil) is spent.
+func (v *batchViews) next() *vector.Batch {
+	if v.b == nil || v.at >= v.b.N {
+		return nil
+	}
+	lo := v.at
+	v.at = min(lo+vector.BatchSize, v.b.N)
+	return viewOf(v.b.Cols, lo, v.at)
 }
 
 // dropOffset discards the first off rows (OFFSET), tolerating an offset
@@ -160,11 +230,13 @@ func dropOffset(rows [][]types.Datum, off int64) [][]types.Datum {
 }
 
 // SortOp materializes and orders its input, spilling sorted runs to the
-// scratch directory when the memory governor denies growth. Under a
-// parallel plan the planner clones it below the merge exchange, one locally
-// sorted run per worker (paper §5.1: every relational operator runs on the
-// executor slots, the coordinator only merges) — each clone accounts and
-// spills independently against the shared governor.
+// scratch directory when the memory governor denies growth. The rows stay
+// columnar throughout: they accumulate in a rowStore, the sort permutes an
+// index over the key columns, and emission gathers a batch at a time in
+// index order. Under a parallel plan the planner clones it below the merge
+// exchange, one locally sorted run per worker (paper §5.1: every relational
+// operator runs on the executor slots, the coordinator only merges) — each
+// clone accounts and spills independently against the shared governor.
 type SortOp struct {
 	Input Operator
 	Keys  []plan.SortKey
@@ -172,11 +244,10 @@ type SortOp struct {
 	// ungoverned in-memory sorting (operator trees built outside a query).
 	Ctx *Context
 
-	rows    [][]types.Datum
+	store   *rowStore // resident rows plus the spilled runs, in arrival order
+	idx     []int32   // the resident rows in key order, once sorted
 	sorted  bool
 	emitted int
-	res     *Reservation
-	runs    []string // spilled run files, in arrival order
 	lt      *loserTree
 }
 
@@ -185,29 +256,30 @@ func (s *SortOp) Types() []types.T { return s.Input.Types() }
 
 // Open implements Operator.
 func (s *SortOp) Open() error {
-	s.rows, s.sorted, s.emitted = nil, false, 0
-	s.runs, s.lt = nil, nil
-	s.res = s.Ctx.Governor().Reserve("sort")
+	s.store = newRowStore(s.Ctx, "sort", "sort_run", s.Input.Types())
+	s.idx, s.sorted, s.emitted, s.lt = nil, false, 0, nil
 	return s.Input.Open()
 }
 
-// spillRun stable-sorts the accumulated rows into a run file and frees
-// their memory. Runs are written in arrival order, which the drain's
-// tie-break exploits to reproduce the stable in-memory sort.
-func (s *SortOp) spillRun() error {
-	sortRows(s.rows, s.Keys)
-	path, err := writeRunFile(s.Ctx, "sort_run", s.rows)
-	if err != nil {
-		return err
+// sortResident returns the resident rows' ordinals in key order, arrival
+// order breaking ties. The index and the merge buffer are resident state
+// too, taken without a denial path: they go back with the run's flush or at
+// Close.
+func (s *SortOp) sortResident() ([]int32, error) {
+	n := s.store.n
+	s.store.res.ForceGrow(int64(n) * 8)
+	idx := identityIndex(n)
+	if err := sortIndex(s.Ctx, idx, make([]int32, n), rowComparator(s.store.cols, s.Keys)); err != nil {
+		return nil, err
 	}
-	s.runs = append(s.runs, path)
-	s.rows = nil
-	s.res.Release()
-	return nil
+	return idx, nil
 }
 
-// consume drains the input, accounting batch by batch and spilling a run
-// whenever the governor denies the reservation.
+// consume drains the input into the store, cutting a sorted run whenever
+// the governor denies the reservation and enough has accumulated. Runs are
+// written in arrival order, which the drain's tie-break exploits to
+// reproduce the stable in-memory sort. Without a scratch directory the
+// budget is observable but not enforceable here.
 func (s *SortOp) consume() error {
 	for {
 		if err := s.Ctx.CheckCanceled(); err != nil {
@@ -220,27 +292,27 @@ func (s *SortOp) consume() error {
 		if b == nil {
 			return nil
 		}
-		var sz int64
-		for i := 0; i < b.N; i++ {
-			//lint:ignore no-row-boxing SortOp sorts boxed rows (1363 ns/row); follow-up: columnar run store with an index sort (ROADMAP 5b)
-			row := b.Row(i)
-			s.rows = append(s.rows, row)
-			sz += rowBytes(row)
-		}
-		if s.res.Grow(sz) {
+		if !s.store.appendBatch(b) {
 			continue
 		}
-		// The rows are resident either way; take the bytes, then cut a run
-		// if enough has accumulated. Without a scratch directory the
-		// budget is observable but not enforceable here.
-		s.res.ForceGrow(sz)
-		if _, ok := s.Ctx.spillTarget(); !ok || !s.res.ShouldSpill() {
-			continue
+		idx, err := s.sortResident()
+		if err != nil {
+			return err
 		}
-		if err := s.spillRun(); err != nil {
+		if err := s.store.flush(idx); err != nil {
 			return err
 		}
 	}
+}
+
+// nextResident gathers the next batch of resident rows in key order.
+func (s *SortOp) nextResident() (*vector.Batch, error) {
+	if s.emitted >= len(s.idx) {
+		return nil, nil
+	}
+	lo := s.emitted
+	s.emitted = min(lo+vector.BatchSize, len(s.idx))
+	return s.store.gather(s.idx[lo:s.emitted]), nil
 }
 
 // Next implements Operator.
@@ -249,19 +321,23 @@ func (s *SortOp) Next() (*vector.Batch, error) {
 		if err := s.consume(); err != nil {
 			return nil, err
 		}
-		sortRows(s.rows, s.Keys)
-		if len(s.runs) > 0 {
-			// External drain: merge the file-backed runs and the in-memory
+		idx, err := s.sortResident()
+		if err != nil {
+			return nil, err
+		}
+		s.idx = idx
+		if runs := s.store.runs; len(runs) > 0 {
+			// External drain: merge the file-backed runs and the resident
 			// remainder. The remainder holds the latest-arrived rows, so it
 			// takes the highest run index — ties resolve toward earlier
 			// arrival, exactly like the stable in-memory sort.
 			fs, _ := s.Ctx.spillTarget()
-			cursors := make([]*runCursor, 0, len(s.runs)+1)
-			for _, path := range s.runs {
+			cursors := make([]*runCursor, 0, len(runs)+1)
+			for _, path := range runs {
 				cursors = append(cursors, fileRunCursor(fs, path, s.Types()))
 			}
-			if len(s.rows) > 0 {
-				cursors = append(cursors, memRunCursor(s.rows, s.Types()))
+			if len(s.idx) > 0 {
+				cursors = append(cursors, &runCursor{pull: s.nextResident})
 			}
 			for _, c := range cursors {
 				if !c.advance() && c.err != nil {
@@ -275,21 +351,15 @@ func (s *SortOp) Next() (*vector.Batch, error) {
 	if s.lt != nil {
 		return s.lt.emit(s.Types(), nil)
 	}
-	out := emitRows(s.rows, s.emitted, s.Types())
-	if out == nil {
-		return nil, nil
-	}
-	s.emitted += out.N
-	return out, nil
+	return s.nextResident()
 }
 
 // Close implements Operator. Spilled run files are removed here, so a
 // query that closes its operators — normally or mid-error — leaves no
 // scratch files behind.
 func (s *SortOp) Close() error {
-	s.Ctx.removeSpills(s.runs)
-	s.rows, s.runs, s.lt = nil, nil, nil
-	s.res.Release()
+	s.store.close()
+	s.idx, s.lt = nil, nil
 	return s.Input.Close()
 }
 
@@ -313,14 +383,19 @@ func (s *SortOp) Delivers() plan.Properties { return plan.Properties{Ordering: s
 // truncated to the limit — serial TopN results are unchanged by the heap.
 type topNHeap struct {
 	limit   int64
+	keys    []plan.SortKey
 	cmp     func(a, b []types.Datum) int
 	rows    [][]types.Datum
 	seqs    []int64
 	nextSeq int64
+	// res accounts the kept rows (nil: ungoverned). The heap is bounded by
+	// the query's LIMIT, not by the budget, so the bytes are force-taken:
+	// the governor sees them, it cannot refuse them.
+	res *Reservation
 }
 
-func newTopNHeap(keys []plan.SortKey, limit int64) *topNHeap {
-	return &topNHeap{limit: limit, cmp: sortCompare(keys)}
+func newTopNHeap(keys []plan.SortKey, limit int64, res *Reservation) *topNHeap {
+	return &topNHeap{limit: limit, keys: keys, cmp: sortCompare(keys), res: res}
 }
 
 // before reports whether row (a, seqA) orders ahead of (b, seqB): by the
@@ -337,21 +412,46 @@ func (h *topNHeap) beforeAt(i, j int) bool {
 	return h.before(h.rows[i], h.seqs[i], h.rows[j], h.seqs[j])
 }
 
-// push offers a row; when the heap is full it replaces the current worst
-// row if the offer orders ahead of it, else drops the offer.
-func (h *topNHeap) push(row []types.Datum) {
+// push offers live row i of b. A full heap compares the offer with its
+// worst kept row in place, on the batch's column vectors, and boxes only a
+// row that gets in — most of a large input never leaves its vectors.
+func (h *topNHeap) push(b *vector.Batch, i int) {
+	if h.limit <= 0 || (int64(len(h.rows)) >= h.limit && !h.beatsWorst(b, i)) {
+		return
+	}
+	h.add(b.Row(i))
+}
+
+// beatsWorst reports whether live row i of b orders ahead of the worst kept
+// row. An offer that ties it on every key arrived later and loses.
+func (h *topNHeap) beatsWorst(b *vector.Batch, i int) bool {
+	worst, r := h.rows[0], b.RowIdx(i)
+	for _, k := range h.keys {
+		if c := compareKey(k, b.Cols[k.Col].Get(r), worst[k.Col]); c != 0 {
+			return c < 0
+		}
+	}
+	return false
+}
+
+// add offers a boxed row; when the heap is full it replaces the current
+// worst row if the offer orders ahead of it, else drops the offer.
+func (h *topNHeap) add(row []types.Datum) {
 	if h.limit <= 0 {
 		return
 	}
 	seq := h.nextSeq
 	h.nextSeq++
 	if int64(len(h.rows)) < h.limit {
+		h.res.ForceGrow(rowBytes(row))
 		h.rows = append(h.rows, row)
 		h.seqs = append(h.seqs, seq)
 		h.up(len(h.rows) - 1)
 		return
 	}
 	if h.before(row, seq, h.rows[0], h.seqs[0]) {
+		h.res.Shrink(rowBytes(h.rows[0]))
+		h.res.ForceGrow(rowBytes(row))
 		h.rows[0], h.seqs[0] = row, seq
 		h.down(0, len(h.rows))
 	}
@@ -405,9 +505,10 @@ func (h *topNHeap) sorted() [][]types.Datum {
 
 // TopNOp keeps the (N + Offset) smallest rows under the sort keys in a
 // bounded heap instead of a full materialized sort — the physical
-// optimization for ORDER BY + LIMIT [OFFSET]. The offset rows are skipped
-// at emission. N == 0 short-circuits to EOF without opening or draining
-// the input.
+// optimization for ORDER BY + LIMIT [OFFSET]. The kept rows are accounted
+// with the memory governor under "topn"; the offset rows are skipped at
+// emission. N == 0 short-circuits to EOF without opening or draining the
+// input.
 type TopNOp struct {
 	Input  Operator
 	Keys   []plan.SortKey
@@ -415,10 +516,10 @@ type TopNOp struct {
 	Offset int64
 	Ctx    *Context
 
-	rows    [][]types.Datum
-	done    bool
-	emitted int
-	opened  bool
+	res    *Reservation
+	out    batchViews // the kept rows past the offset, in key order
+	done   bool
+	opened bool
 }
 
 // Types implements Operator.
@@ -426,59 +527,58 @@ func (t *TopNOp) Types() []types.T { return t.Input.Types() }
 
 // Open implements Operator.
 func (t *TopNOp) Open() error {
-	t.rows, t.emitted = nil, 0
+	t.out = batchViews{}
 	if t.N <= 0 {
 		// LIMIT 0: the input is never opened, let alone drained.
 		t.done, t.opened = true, false
 		return nil
 	}
 	t.done, t.opened = false, true
+	if t.res == nil {
+		t.res = t.Ctx.Governor().Reserve("topn")
+	}
 	return t.Input.Open()
 }
 
-// consume drains the input into a bounded heap of the N best rows. The
-// parallel planner reuses it for per-worker runs (merge.go).
-func (t *TopNOp) consume() error {
-	h := newTopNHeap(t.Keys, t.N+t.Offset)
+// consume drains the input into a bounded heap and returns the N + Offset
+// best rows in key order. The parallel planner reuses it for per-worker
+// runs (merge.go).
+func (t *TopNOp) consume() ([][]types.Datum, error) {
+	h := newTopNHeap(t.Keys, t.N+t.Offset, t.res)
 	for {
 		if err := t.Ctx.CheckCanceled(); err != nil {
-			return err
+			return nil, err
 		}
 		b, err := t.Input.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if b == nil {
-			break
+			return h.sorted(), nil
 		}
 		for i := 0; i < b.N; i++ {
-			//lint:ignore no-row-boxing TopN boxes every input row before the heap rejects it; follow-up: compare in place, box only rows that enter the heap
-			h.push(b.Row(i))
+			h.push(b, i)
 		}
 	}
-	t.rows = dropOffset(h.sorted(), t.Offset)
-	return nil
 }
 
 // Next implements Operator.
 func (t *TopNOp) Next() (*vector.Batch, error) {
 	if !t.done {
-		if err := t.consume(); err != nil {
+		rows, err := t.consume()
+		if err != nil {
 			return nil, err
 		}
+		t.out.b = rowsBatch(dropOffset(rows, t.Offset), t.Types())
 		t.done = true
 	}
-	out := emitRows(t.rows, t.emitted, t.Types())
-	if out == nil {
-		return nil, nil
-	}
-	t.emitted += out.N
-	return out, nil
+	return t.out.next(), nil
 }
 
 // Close implements Operator.
 func (t *TopNOp) Close() error {
-	t.rows = nil
+	t.out = batchViews{}
+	t.res.Release()
 	if !t.opened {
 		return nil
 	}

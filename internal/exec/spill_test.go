@@ -42,6 +42,14 @@ func (e *spillEnv) leakedFiles(t *testing.T) []string {
 	return out
 }
 
+// storeBytes returns what a rowStore accounts for holding rows — the
+// figure a test budget is a fraction of when it must force a spill.
+func storeBytes(rows [][]types.Datum, ts []types.T) int64 {
+	st := newRowStore(nil, "", "", ts)
+	st.appendBatch(rowsBatch(rows, ts))
+	return st.held
+}
+
 func rowsEqual(a, b [][]types.Datum) bool {
 	if len(a) != len(b) {
 		return false

@@ -3,12 +3,13 @@
 // A sharedSpool materializes one shared subtree exactly once per query —
 // single-flight through sync.Once, so concurrent consumers (serial plan
 // siblings or parallel worker clones) block until the winner publishes —
-// and replays the result to every consumer. The replay buffer is budgeted:
-// rows account against the query governor as they materialize, and a
-// denied reservation flushes them to arrival-order run files on the DFS
-// scratch directory. After publication the state is immutable (resident
-// tail plus write-once run files), which is what makes per-consumer
-// replays safe without locks.
+// and replays the result to every consumer. The replay buffer is a
+// budgeted columnar rowStore: batches copy onto its columns under the query
+// governor as they materialize, and a denied reservation flushes them to
+// arrival-order run files on the DFS scratch directory. After publication
+// the state is immutable (resident columns plus write-once run files), so
+// each replay hands out zero-copy views of the columns without locks — a
+// consumer of the shared scan pays no copy of its own.
 //
 // Two consumption modes share the materialization:
 //
@@ -38,9 +39,8 @@ type sharedSpool struct {
 	err  error
 
 	// store is the governed arrival-order content (mem.go), immutable
-	// after once completes.
+	// after once completes: replays hand out views of its columns.
 	store   *rowStore
-	ts      []types.T
 	cleanup sync.Once
 }
 
@@ -69,8 +69,7 @@ func (sp *sharedSpool) materialize(in Operator, ctx *Context) error {
 }
 
 func (sp *sharedSpool) run(in Operator, ctx *Context) error {
-	sp.store = newRowStore(ctx, "spool", "spool")
-	sp.ts = in.Types()
+	sp.store = newRowStore(ctx, "spool", "spool", in.Types())
 	if err := in.Open(); err != nil {
 		return err
 	}
@@ -86,17 +85,18 @@ func (sp *sharedSpool) run(in Operator, ctx *Context) error {
 		if b == nil {
 			return nil
 		}
-		if err := sp.store.appendBatch(b); err != nil {
+		if err := sp.store.appendOrFlush(b); err != nil {
 			return err
 		}
 	}
 }
 
 // replay returns a fresh pull over the full content: the spilled runs in
-// arrival order, then the resident tail. Each consumer holds its own
-// readers, so concurrent replays never share mutable state.
+// arrival order, then zero-copy views of the resident columns. Each
+// consumer holds its own readers and nothing writes the columns after
+// publication, so concurrent replays never share mutable state.
 func (sp *sharedSpool) replay() func() (*vector.Batch, error) {
-	return sp.store.replay(sp.ts)
+	return sp.store.replay()
 }
 
 // release removes the spill runs and returns the reservation, exactly

@@ -1,21 +1,27 @@
 // Window functions, memory-governed and beyond-memory capable.
 //
 // WindowOp groups its functions by (PARTITION BY, ORDER BY) spec and runs
-// one partition/order pass per group instead of one per function. Input
-// rows are accounted against the query's memory governor as they
-// materialize; when a reservation is denied the accumulated rows flush to
-// arrival-order chunk files on the DFS scratch directory and the compute
-// pass switches to an external plan built from the same SortOp machinery
-// the rest of the engine spills through:
+// one partition/order pass per group instead of one per function. The input
+// materializes into a columnar rowStore under the query's memory governor
+// and stays columnar: a group's pass is a stable index sort over the key
+// columns, partition and peer boundaries are comparisons of adjacent
+// ordinals, each aggregate's argument is evaluated once as a vector over the
+// whole row set, and results land by row ordinal in typed result vectors —
+// so emission in arrival order is views of the stored columns beside views
+// of the result vectors. When a reservation is denied the accumulated rows
+// flush to arrival-order chunk files on the DFS scratch directory and the
+// compute pass switches to an external plan built from the same SortOp
+// machinery the rest of the engine spills through:
 //
 //	input chunks ── sort by (partition cols, order keys, seq) ──┐
 //	                one partition resident at a time: eval fns  │ per group
 //	                result rows (seq, values…) sort by seq ─────┘
 //	input chunks ── zip with each group's seq-ordered results ── output
 //
-// Both paths order partitions with the same comparator and break ties by
-// arrival, so spilled output is byte-identical to the in-memory path —
-// which emits rows in arrival order, the operator's contract either way.
+// Both paths order partitions with the same comparator, break ties by
+// arrival and evaluate partitions with the same windowEval, so spilled
+// output is byte-identical to the in-memory path — which emits rows in
+// arrival order, the operator's contract either way.
 //
 // Aggregate functions with an ORDER BY run under the SQL default frame
 // (RANGE UNBOUNDED PRECEDING TO CURRENT ROW): peer rows — equal order
@@ -91,165 +97,156 @@ func buildWindowGroups(fns []plan.WindowFn, inTypes []types.T) ([]windowGroup, e
 // external path needs because a file sort has no stable-arrival guarantee
 // of its own.
 func (g *windowGroup) sortKeys(seqCol int) []plan.SortKey {
-	keys := make([]plan.SortKey, 0, len(g.partitionBy)+len(g.orderBy)+1)
-	for _, c := range g.partitionBy {
-		keys = append(keys, plan.SortKey{Col: c})
-	}
-	keys = append(keys, g.orderBy...)
+	keys := append(partitionKeys(g.partitionBy), g.orderBy...)
 	if seqCol >= 0 {
 		keys = append(keys, plan.SortKey{Col: seqCol})
 	}
 	return keys
 }
 
-// samePartition reports whether two rows fall in the same partition of g.
-func (g *windowGroup) samePartition(a, b []types.Datum) bool {
-	for _, c := range g.partitionBy {
-		x, y := a[c], b[c]
-		if x.Null != y.Null {
-			return false
-		}
-		if !x.Null && x.Compare(y) != 0 {
-			return false
-		}
+// partitionKeys returns the partition columns as ascending sort keys: two
+// rows share a partition exactly when they compare equal under them.
+func partitionKeys(cols []int) []plan.SortKey {
+	keys := make([]plan.SortKey, len(cols))
+	for i, c := range cols {
+		keys[i] = plan.SortKey{Col: c}
 	}
-	return true
+	return keys
 }
 
-// evalGroupPartition computes every function of the group over one ordered
-// partition, returning results[i][k] for group-local function i at
-// partition position k.
-//
-// Ranking functions read the order keys directly. Aggregates with an ORDER
-// BY accumulate peer group by peer group — rows with equal order keys form
-// one frame and share one result (the RANGE-frame default); aggregates
-// without an ORDER BY cover the whole partition.
-func evalGroupPartition(g *windowGroup, fns []plan.WindowFn, part [][]types.Datum) ([][]types.Datum, error) {
-	out := make([][]types.Datum, len(g.fnIdx))
-	for i := range out {
-		out[i] = make([]types.Datum, len(part))
-	}
+// windowEval evaluates one spec group's functions over ordered partitions
+// of a columnar row set. Rows are ordinals into the columns it was built
+// over — the whole resident store, or the one partition the external pass
+// holds — and results are written by ordinal into out, so neither pass
+// boxes a row.
+type windowEval struct {
+	fns   []plan.WindowFn
+	aggs  []CompiledAgg
+	args  []*vector.Vector     // per function: its argument over every row, nil when it takes none
+	order func(a, b int32) int // order-key comparison of two rows; nil without ORDER BY
+	out   []*vector.Vector     // per function: the result column
+	// argBytes is what the computed argument vectors hold, for the caller to
+	// account; a bare column reference is the stored column itself.
+	argBytes int64
+}
+
+// newWindowEval prepares group g over n rows of cols: every aggregate
+// argument is evaluated once, as a vector over all n rows. out holds one
+// n-row result column per function of the group.
+func newWindowEval(g *windowGroup, fns []plan.WindowFn, cols []*vector.Vector, n int, out []*vector.Vector) (*windowEval, error) {
+	ev := &windowEval{out: out}
+	rows := &vector.Batch{Cols: cols, N: n}
 	for i, fi := range g.fnIdx {
-		fn, arg, res := fns[fi], g.args[i], out[i]
+		fn := fns[fi]
+		switch fn.Fn {
+		case "row_number", "rank", "dense_rank", "count", "sum", "avg", "min", "max":
+		default:
+			return nil, fmt.Errorf("exec: unsupported window function %s", fn.Fn)
+		}
+		var arg *vector.Vector
+		if g.args[i] != nil {
+			v, err := g.args[i].Eval(rows)
+			if err != nil {
+				return nil, err
+			}
+			arg = v
+			if _, bare := g.args[i].ColRef(); !bare {
+				ev.argBytes += v.CapBytes()
+			}
+		}
+		ev.fns = append(ev.fns, fn)
+		ev.aggs = append(ev.aggs, CompiledAgg{Fn: fn.Fn, T: fn.T, Arg: g.args[i]})
+		ev.args = append(ev.args, arg)
+	}
+	if len(g.orderBy) > 0 {
+		ev.order = rowComparator(cols, g.orderBy)
+	}
+	return ev, nil
+}
+
+// peerEnd returns the end of the peer group starting at part[lo]: the rows
+// with equal order keys, which are consecutive because part is sorted by
+// them. Without an ORDER BY the whole partition is one peer group.
+func (ev *windowEval) peerEnd(part []int32, lo int) int {
+	if ev.order == nil {
+		return len(part)
+	}
+	hi := lo + 1
+	for hi < len(part) && ev.order(part[hi-1], part[hi]) == 0 {
+		hi++
+	}
+	return hi
+}
+
+// partition computes every function of the group over one partition, given
+// as row ordinals in partition order.
+//
+// Ranking functions number peer groups. Aggregates with an ORDER BY
+// accumulate peer group by peer group — rows with equal order keys form one
+// frame and share one result (the RANGE-frame default); aggregates without
+// an ORDER BY cover the whole partition.
+func (ev *windowEval) partition(part []int32) {
+	for i, fn := range ev.fns {
+		out := ev.out[i]
 		switch fn.Fn {
 		case "row_number":
-			for k := range part {
-				res[k] = types.NewBigint(int64(k + 1))
+			for k, r := range part {
+				out.Set(int(r), types.NewBigint(int64(k+1)))
 			}
 		case "rank", "dense_rank":
-			rank, dense := int64(0), int64(0)
-			for k := range part {
-				if k == 0 || rowLess(part[k-1], part[k], fn.OrderBy) {
-					rank = int64(k + 1)
-					dense++
-				}
-				if fn.Fn == "rank" {
-					res[k] = types.NewBigint(rank)
-				} else {
-					res[k] = types.NewBigint(dense)
-				}
-			}
-		case "count", "sum", "avg", "min", "max":
-			var st aggState
-			ag := CompiledAgg{Fn: fn.Fn, T: fn.T, Arg: arg}
-			update := func(k int) error {
-				d := types.NewBigint(1)
-				if arg != nil {
-					var err error
-					d, err = evalOnRow(arg, part[k])
-					if err != nil {
-						return err
-					}
-				}
-				st.update(ag, d)
-				return nil
-			}
-			if len(fn.OrderBy) == 0 {
-				for k := range part {
-					if err := update(k); err != nil {
-						return nil, err
-					}
-				}
-				v := st.result(ag)
-				for k := range part {
-					res[k] = v
-				}
-				continue
-			}
-			// Running aggregate: the partition is sorted by the order keys,
-			// so peers are consecutive and a boundary is exactly a strict
-			// key increase.
+			dense := int64(0)
 			for lo := 0; lo < len(part); {
-				hi := lo + 1
-				for hi < len(part) && !rowLess(part[hi-1], part[hi], fn.OrderBy) {
-					hi++
+				hi := ev.peerEnd(part, lo)
+				dense++
+				v := types.NewBigint(dense)
+				if fn.Fn == "rank" {
+					v = types.NewBigint(int64(lo + 1))
 				}
-				for k := lo; k < hi; k++ {
-					if err := update(k); err != nil {
-						return nil, err
-					}
-				}
-				v := st.result(ag)
-				for k := lo; k < hi; k++ {
-					res[k] = v
+				for _, r := range part[lo:hi] {
+					out.Set(int(r), v)
 				}
 				lo = hi
 			}
 		default:
-			return nil, fmt.Errorf("exec: unsupported window function %s", fn.Fn)
-		}
-	}
-	return out, nil
-}
-
-// rowLess orders two rows under sort keys (NULLS placement per key).
-func rowLess(a, b []types.Datum, keys []plan.SortKey) bool {
-	for _, k := range keys {
-		if c := compareKey(k, a[k.Col], b[k.Col]); c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-
-// mergeSortIdx stably sorts positions with the provided comparator.
-func mergeSortIdx(idx []int, less func(a, b int) bool) {
-	if len(idx) < 2 {
-		return
-	}
-	tmp := make([]int, len(idx))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if less(idx[j], idx[i]) {
-				tmp[k] = idx[j]
-				j++
-			} else {
-				tmp[k] = idx[i]
-				i++
+			var st aggState
+			ag, arg := ev.aggs[i], ev.args[i]
+			for lo := 0; lo < len(part); {
+				hi := ev.peerEnd(part, lo)
+				for _, r := range part[lo:hi] {
+					d := types.NewBigint(1)
+					if arg != nil {
+						d = arg.Get(int(r))
+					}
+					st.update(ag, d)
+				}
+				v := st.result(ag)
+				for _, r := range part[lo:hi] {
+					out.Set(int(r), v)
+				}
+				lo = hi
 			}
-			k++
 		}
-		for i < mid {
-			tmp[k] = idx[i]
-			i++
-			k++
-		}
-		for j < hi {
-			tmp[k] = idx[j]
-			j++
-			k++
-		}
-		copy(idx[lo:hi], tmp[lo:hi])
 	}
-	ms(0, len(idx))
+}
+
+// eachPartition calls fn with every maximal run of idx whose rows compare
+// equal under same — the partitions of an index grouped by the partition
+// columns — polling for cancellation once per partition.
+func eachPartition(ctx *Context, idx []int32, same func(a, b int32) int, fn func(part []int32) error) error {
+	for lo := 0; lo < len(idx); {
+		if err := ctx.CheckCanceled(); err != nil {
+			return err
+		}
+		hi := lo + 1
+		for hi < len(idx) && same(idx[lo], idx[hi]) == 0 {
+			hi++
+		}
+		if err := fn(idx[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // WindowOp computes window functions over a materialized input, appending
@@ -267,18 +264,18 @@ type WindowOp struct {
 	Ctx *Context
 
 	groups []windowGroup
-	store  *rowStore // governed arrival-order input store (mem.go)
+	store  *rowStore // governed columnar input store, arrival order (mem.go)
 	done   bool
 
-	// Resident emission state.
-	results [][]types.Datum // per fn, parallel to store.rows
-	emitted int
+	// Resident emission state: the store's columns beside one result column
+	// per function, handed out as views.
+	out batchViews
 
-	// External emission state: one replay feed for the input plus one
-	// seq-sorted result feed per group, zipped row by row.
+	// External emission state: the input replay plus one seq-sorted result
+	// feed per group, zipped batch by batch.
 	pipes    []Operator
-	inFeed   *rowFeed
-	resFeeds []*rowFeed
+	replay   func() (*vector.Batch, error)
+	resFeeds []*batchFeed
 }
 
 // Types implements Operator.
@@ -291,10 +288,10 @@ func (w *WindowOp) Open() error {
 		return err
 	}
 	w.groups = g
-	w.store = newRowStore(w.Ctx, "window", "window_in")
+	w.store = newRowStore(w.Ctx, "window", "window_in", w.Input.Types())
 	w.done = false
-	w.results, w.emitted = nil, 0
-	w.pipes, w.inFeed, w.resFeeds = nil, nil, nil
+	w.out = batchViews{}
+	w.pipes, w.replay, w.resFeeds = nil, nil, nil
 	return w.Input.Open()
 }
 
@@ -314,7 +311,7 @@ func (w *WindowOp) consume() error {
 		if b == nil {
 			return nil
 		}
-		if err := w.store.appendBatch(b); err != nil {
+		if err := w.store.appendOrFlush(b); err != nil {
 			return err
 		}
 	}
@@ -322,94 +319,74 @@ func (w *WindowOp) consume() error {
 
 // computeResident is the in-memory pass: per group, one stable index sort
 // by (partition cols, order keys) — arrival order breaks ties — then one
-// evaluation per contiguous partition, scattered back by row ordinal.
+// evaluation per contiguous partition, written back by row ordinal.
 func (w *WindowOp) computeResident() error {
-	rows := w.store.rows
-	w.results = make([][]types.Datum, len(w.Fns))
-	for i := range w.results {
-		w.results[i] = make([]types.Datum, len(rows))
+	st := w.store
+	n, inW := st.n, len(st.cols)
+	// The result columns, the sort index and its merge buffer are resident
+	// state too: account them (observable peak) without a denial path — the
+	// spill decision already happened during consume.
+	held := int64(n) * 8
+	results := make([]*vector.Vector, len(w.Fns))
+	for fi := range w.Fns {
+		results[fi] = vector.New(w.Out[inW+fi], n)
+		held += results[fi].CapBytes()
 	}
-	// The result columns are resident state too: account them (observable
-	// peak) without a denial path — the spill decision already happened
-	// during consume.
-	w.store.res.ForceGrow(int64(len(rows)) * int64(len(w.Fns)) * 48)
+	st.res.ForceGrow(held)
+	w.out.b = &vector.Batch{Cols: append(st.cols[:inW:inW], results...), N: n}
+	evals := make([]*windowEval, len(w.groups))
+	for gi := range w.groups {
+		g := &w.groups[gi]
+		out := make([]*vector.Vector, len(g.fnIdx))
+		for i, fi := range g.fnIdx {
+			out[i] = results[fi]
+		}
+		ev, err := newWindowEval(g, w.Fns, st.cols, n, out)
+		if err != nil {
+			return err
+		}
+		st.res.ForceGrow(ev.argBytes)
+		evals[gi] = ev
+	}
 	var delivered []plan.SortKey
 	if w.Ctx.propsOn() {
 		delivered = DeliveredProps(w.Input).Ordering
 	}
 	wp := planWindowGroups(w.groups, delivered, w.Ctx.propsOn())
-	identity := func() []int {
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
+	tmp := make([]int32, n)
+	// pass evaluates group gi over idx once idx is sorted by keys; no keys
+	// (count(*) OVER (), or a presorted group) leaves idx in arrival order.
+	pass := func(gi int, keys []plan.SortKey) error {
+		g, idx := &w.groups[gi], identityIndex(n)
+		if len(keys) > 0 {
+			if err := sortIndex(w.Ctx, idx, tmp, rowComparator(st.cols, keys)); err != nil {
+				return err
+			}
 		}
-		return idx
+		return eachPartition(w.Ctx, idx, rowComparator(st.cols, partitionKeys(g.partitionBy)), func(part []int32) error {
+			evals[gi].partition(part)
+			return nil
+		})
 	}
 	// Presorted groups: the input already delivers (partition, order), and
 	// the stable sort's arrival tie-break would reproduce the delivered
 	// order exactly — so the identity permutation IS the sorted one.
 	for gi := range w.groups {
 		if wp.presorted[gi] {
-			if err := w.evalPartitions(&w.groups[gi], identity()); err != nil {
+			if err := pass(gi, nil); err != nil {
 				return err
 			}
 		}
 	}
 	for _, gi := range wp.solo {
-		g := &w.groups[gi]
-		idx := identity()
-		// No keys (e.g. count(*) OVER ()) means one partition in arrival
-		// order — exactly what idx already is.
-		if keys := g.sortKeys(-1); len(keys) > 0 {
-			mergeSortIdx(idx, func(a, b int) bool {
-				return rowLess(rows[a], rows[b], keys)
-			})
-		}
-		if err := w.evalPartitions(g, idx); err != nil {
+		if err := pass(gi, w.groups[gi].sortKeys(-1)); err != nil {
 			return err
 		}
 	}
 	for _, bucket := range wp.shared {
-		if err := w.evalSharedPartitionPass(bucket); err != nil {
+		if err := w.evalSharedPartitionPass(bucket, evals, tmp); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// evalPartition evaluates group g over one partition, given as row
-// ordinals in partition order, scattering results by ordinal.
-func (w *WindowOp) evalPartition(g *windowGroup, sub []int) error {
-	rows := w.store.rows
-	part := make([][]types.Datum, len(sub))
-	for k := range part {
-		part[k] = rows[sub[k]]
-	}
-	res, err := evalGroupPartition(g, w.Fns, part)
-	if err != nil {
-		return err
-	}
-	for i, fi := range g.fnIdx {
-		for k := range sub {
-			w.results[fi][sub[k]] = res[i][k]
-		}
-	}
-	return nil
-}
-
-// evalPartitions walks the contiguous partitions of an index already
-// grouped by g's partition columns and evaluates each.
-func (w *WindowOp) evalPartitions(g *windowGroup, idx []int) error {
-	rows := w.store.rows
-	for lo := 0; lo < len(idx); {
-		hi := lo + 1
-		for hi < len(idx) && g.samePartition(rows[idx[lo]], rows[idx[hi]]) {
-			hi++
-		}
-		if err := w.evalPartition(g, idx[lo:hi]); err != nil {
-			return err
-		}
-		lo = hi
 	}
 	return nil
 }
@@ -422,44 +399,29 @@ func (w *WindowOp) evalPartitions(g *windowGroup, idx []int) error {
 // Byte-identity: the partition sort leaves rows within a partition in
 // arrival order, so the orderBy sub-sort yields rows ordered by orderBy
 // with arrival tie-break — exactly the permutation the group's solo
-// (partition, order) sort would produce. Results scatter by row ordinal,
-// so partition visit order never shows.
-func (w *WindowOp) evalSharedPartitionPass(bucket []int) error {
-	rows := w.store.rows
-	rep := &w.groups[bucket[0]]
-	pcols := partSetCols(rep.partitionBy)
-	pkeys := make([]plan.SortKey, len(pcols))
-	for i, c := range pcols {
-		pkeys[i] = plan.SortKey{Col: c}
+// (partition, order) sort would produce. Results land by row ordinal, so
+// partition visit order never shows.
+func (w *WindowOp) evalSharedPartitionPass(bucket []int, evals []*windowEval, tmp []int32) error {
+	samePart := rowComparator(w.store.cols, partitionKeys(partSetCols(w.groups[bucket[0]].partitionBy)))
+	pidx := identityIndex(w.store.n)
+	if err := sortIndex(w.Ctx, pidx, tmp, samePart); err != nil {
+		return err
 	}
-	pidx := make([]int, len(rows))
-	for i := range pidx {
-		pidx[i] = i
-	}
-	mergeSortIdx(pidx, func(a, b int) bool {
-		return rowLess(rows[a], rows[b], pkeys)
-	})
-	for lo := 0; lo < len(pidx); {
-		hi := lo + 1
-		for hi < len(pidx) && rep.samePartition(rows[pidx[lo]], rows[pidx[hi]]) {
-			hi++
-		}
+	var sub []int32
+	return eachPartition(w.Ctx, pidx, samePart, func(part []int32) error {
 		for _, gi := range bucket {
-			g := &w.groups[gi]
-			sub := pidx[lo:hi]
-			if len(g.orderBy) > 0 {
-				sub = append([]int(nil), sub...)
-				mergeSortIdx(sub, func(a, b int) bool {
-					return rowLess(rows[a], rows[b], g.orderBy)
-				})
+			rows := part
+			if order := evals[gi].order; order != nil {
+				sub = append(sub[:0], part...)
+				if err := sortIndex(w.Ctx, sub, tmp, order); err != nil {
+					return err
+				}
+				rows = sub
 			}
-			if err := w.evalPartition(g, sub); err != nil {
-				return err
-			}
+			evals[gi].partition(rows)
 		}
-		lo = hi
-	}
-	return nil
+		return nil
+	})
 }
 
 // windowPlan classifies a WindowOp's spec groups by how their
@@ -545,17 +507,17 @@ func partSetKey(cols []int) string {
 func (w *WindowOp) computeExternal() error {
 	inTypes := w.Input.Types()
 	seqCol := len(inTypes)
-	w.resFeeds = make([]*rowFeed, len(w.groups))
+	w.resFeeds = make([]*batchFeed, len(w.groups))
 	for gi := range w.groups {
 		g := &w.groups[gi]
-		srt := &SortOp{Input: w.newReplay(true), Keys: g.sortKeys(seqCol), Ctx: w.Ctx}
+		srt := &SortOp{Input: &windowReplayOp{w: w}, Keys: g.sortKeys(seqCol), Ctx: w.Ctx}
 		ev := &windowEvalOp{Input: srt, g: g, fns: w.Fns, seqCol: seqCol, ctx: w.Ctx}
 		res := &SortOp{Input: ev, Keys: []plan.SortKey{{Col: 0}}, Ctx: w.Ctx}
 		if err := res.Open(); err != nil {
 			return err
 		}
 		w.pipes = append(w.pipes, res)
-		w.resFeeds[gi] = &rowFeed{op: res, ctx: w.Ctx}
+		w.resFeeds[gi] = &batchFeed{op: res, ctx: w.Ctx}
 		// Prime: the first pull drains the whole chain (SortOp consumes to
 		// EOF before emitting), so the group's input copy lives exactly as
 		// long as its pass — closing the upstream now frees the group
@@ -567,12 +529,7 @@ func (w *WindowOp) computeExternal() error {
 		}
 		ev.Close()
 	}
-	replay := w.newReplay(false)
-	if err := replay.Open(); err != nil {
-		return err
-	}
-	w.pipes = append(w.pipes, replay)
-	w.inFeed = &rowFeed{op: replay, ctx: w.Ctx}
+	w.replay = w.store.replay()
 	return nil
 }
 
@@ -597,65 +554,34 @@ func (w *WindowOp) Next() (*vector.Batch, error) {
 	if w.store.spilled {
 		return w.nextExternal()
 	}
-	if w.emitted >= len(w.store.rows) {
-		return nil, nil
-	}
-	n := len(w.store.rows) - w.emitted
-	if n > vector.BatchSize {
-		n = vector.BatchSize
-	}
-	out := vector.NewBatch(w.Out, n)
-	inW := len(w.Input.Types())
-	for i := 0; i < n; i++ {
-		row := w.store.rows[w.emitted+i]
-		for c, d := range row {
-			out.Cols[c].Set(i, d)
-		}
-		for fi := range w.Fns {
-			out.Cols[inW+fi].Set(i, w.results[fi][w.emitted+i])
-		}
-	}
-	out.N = n
-	w.emitted += n
-	return out, nil
+	return w.out.next(), nil
 }
 
 // nextExternal zips the input replay with every group's seq-sorted result
-// stream: all run in arrival order over the same row count, so position i
-// of each feed describes the same row.
+// stream: all run in arrival order over the same row count, so the next n
+// rows of each feed describe the n rows of the replayed batch.
 func (w *WindowOp) nextExternal() (*vector.Batch, error) {
-	inW := len(w.Input.Types())
-	out := vector.NewBatch(w.Out, vector.BatchSize)
-	n := 0
-	for n < vector.BatchSize {
-		row, err := w.inFeed.next()
-		if err != nil {
+	if err := w.Ctx.CheckCanceled(); err != nil {
+		return nil, err
+	}
+	in, err := w.replay()
+	if err != nil || in == nil {
+		return nil, err
+	}
+	inW := len(in.Cols)
+	out := &vector.Batch{Cols: append(in.Cols[:inW:inW], make([]*vector.Vector, len(w.Fns))...), N: in.N}
+	for gi, feed := range w.resFeeds {
+		fnIdx := w.groups[gi].fnIdx
+		dst := make([]*vector.Vector, len(fnIdx))
+		for i, fi := range fnIdx {
+			dst[i] = vector.New(w.Out[inW+fi], 0)
+			out.Cols[inW+fi] = dst[i]
+		}
+		// Column 0 of a result row is its seq; the functions follow.
+		if err := feed.appendNext(dst, 1, in.N); err != nil {
 			return nil, err
 		}
-		if row == nil {
-			break
-		}
-		for c, d := range row {
-			out.Cols[c].Set(n, d)
-		}
-		for gi, feed := range w.resFeeds {
-			rrow, err := feed.next()
-			if err != nil {
-				return nil, err
-			}
-			if rrow == nil {
-				return nil, fmt.Errorf("exec: window result stream ended early")
-			}
-			for i, fi := range w.groups[gi].fnIdx {
-				out.Cols[inW+fi].Set(n, rrow[1+i])
-			}
-		}
-		n++
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out.N = n
 	return out, nil
 }
 
@@ -667,8 +593,8 @@ func (w *WindowOp) Close() error {
 		p.Close()
 	}
 	w.store.close()
-	w.results, w.pipes = nil, nil
-	w.inFeed, w.resFeeds = nil, nil
+	w.out, w.pipes = batchViews{}, nil
+	w.replay, w.resFeeds = nil, nil
 	return w.Input.Close()
 }
 
@@ -688,34 +614,25 @@ func (w *WindowOp) Stage() Stage { return StageVertex | StageBreaker }
 // appended function columns.
 func (w *WindowOp) Delivers() plan.Properties { return orderOf(w.Input) }
 
-// newReplay streams the operator's row store — spilled chunks then the
-// resident tail — in arrival order; withSeq appends the arrival ordinal as
-// a trailing bigint column for the external sort's tie-break and the
-// result rows' join-back key.
-func (w *WindowOp) newReplay(withSeq bool) *windowReplayOp {
-	return &windowReplayOp{w: w, withSeq: withSeq}
-}
-
+// windowReplayOp streams the operator's row store — spilled chunks then the
+// resident rows — in arrival order, with the arrival ordinal appended as a
+// trailing bigint column: the external sort's tie-break and the result
+// rows' join-back key.
 type windowReplayOp struct {
-	w       *WindowOp
-	withSeq bool
-	pull    func() (*vector.Batch, error)
-	seq     int64
+	w    *WindowOp
+	pull func() (*vector.Batch, error)
+	seq  int64
 }
 
 // Types implements Operator.
 func (r *windowReplayOp) Types() []types.T {
-	ts := r.w.Input.Types()
-	if !r.withSeq {
-		return ts
-	}
-	return append(append([]types.T{}, ts...), types.TBigint)
+	return append(append([]types.T{}, r.w.Input.Types()...), types.TBigint)
 }
 
 // Open implements Operator.
 func (r *windowReplayOp) Open() error {
 	r.seq = 0
-	r.pull = r.w.store.replay(r.w.Input.Types())
+	r.pull = r.w.store.replay()
 	return nil
 }
 
@@ -725,26 +642,37 @@ func (r *windowReplayOp) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	if !r.withSeq {
-		return b, nil
-	}
 	seqs := vector.New(types.TBigint, b.N)
-	for i := 0; i < b.N; i++ {
-		seqs.Set(i, types.NewBigint(r.seq))
+	for i := range seqs.I64 {
+		seqs.I64[i] = r.seq
 		r.seq++
 	}
-	return &vector.Batch{Cols: append(append([]*vector.Vector{}, b.Cols...), seqs), N: b.N}, nil
+	return &vector.Batch{Cols: append(b.Cols[:len(b.Cols):len(b.Cols)], seqs), N: b.N}, nil
 }
 
 // Close implements Operator. The replayed store belongs to the WindowOp;
 // nothing to release here.
 func (r *windowReplayOp) Close() error { return nil }
 
+// appendSpan appends live rows lo..hi-1 of b onto dst, column first+k of the
+// batch onto dst[k].
+func appendSpan(dst []*vector.Vector, b *vector.Batch, first, lo, hi int) {
+	for k, d := range dst {
+		if src := b.Cols[first+k]; b.Sel != nil {
+			d.AppendRows(src, b.Sel[lo:hi], hi-lo)
+		} else {
+			d.AppendRows(src.Slice(lo, hi), nil, hi-lo)
+		}
+	}
+}
+
 // windowEvalOp consumes a (partition, order, seq)-sorted stream and emits
 // one result row (seq, fn values…) per input row, holding exactly one
-// partition resident at a time. The partition working set is force-taken
-// from the governor — the single-partition residency is the external
-// plan's minimum, the same Grace assumption the agg and join drains make.
+// partition resident at a time: it copies the partition's rows out of the
+// stream as column runs and hands them to the same windowEval the resident
+// pass uses. The partition working set is force-taken from the governor —
+// the single-partition residency is the external plan's minimum, the same
+// Grace assumption the agg and join drains make.
 //
 //lint:ignore operator-node built inside WindowOp's external pass at run time; never part of a planned tree
 type windowEvalOp struct {
@@ -754,13 +682,17 @@ type windowEvalOp struct {
 	seqCol int
 	ctx    *Context
 
-	res    *Reservation
-	feed   *rowFeed
-	carry  []types.Datum
-	eof    bool
-	out    [][]types.Datum
-	outPos int
-	ts     []types.T
+	res  *Reservation
+	ts   []types.T
+	same []plan.SortKey // the partition columns, as keys
+
+	in    *vector.Batch // the stream's current batch
+	inPos int           // its first row not yet taken
+	eof   bool
+
+	part  []*vector.Vector // the resident partition's input columns
+	partN int
+	out   batchViews // its result rows, in partition order
 }
 
 // Types implements Operator.
@@ -778,76 +710,108 @@ func (e *windowEvalOp) Types() []types.T {
 // Open implements Operator.
 func (e *windowEvalOp) Open() error {
 	e.res = e.ctx.Governor().Reserve("window")
-	e.feed = &rowFeed{op: e.Input, ctx: e.ctx}
-	e.carry, e.eof, e.out, e.outPos = nil, false, nil, 0
+	e.same = partitionKeys(e.g.partitionBy)
+	e.in, e.inPos, e.eof = nil, 0, false
+	e.part, e.partN, e.out = nil, 0, batchViews{}
 	return e.Input.Open()
+}
+
+// gather copies the stream's next partition into e.part: the run of rows
+// that equal the partition's first row on the partition columns, across as
+// many batches as it spans.
+func (e *windowEvalOp) gather() error {
+	inTypes := e.Input.Types()
+	e.part, e.partN = make([]*vector.Vector, len(inTypes)), 0
+	for c, t := range inTypes {
+		e.part[c] = vector.New(t, 0)
+	}
+	for !e.eof {
+		if e.in == nil || e.inPos >= e.in.N {
+			if err := e.ctx.CheckCanceled(); err != nil {
+				return err
+			}
+			b, err := e.Input.Next()
+			if err != nil {
+				return err
+			}
+			e.in, e.inPos, e.eof = b, 0, b == nil
+			continue
+		}
+		lo, hi := e.inPos, e.inPos
+		if e.partN == 0 {
+			hi++ // the partition's first row; the rest compare against it
+			appendSpan(e.part, e.in, 0, lo, hi)
+			lo = hi
+		}
+		for hi < e.in.N && e.inPartition(e.in.RowIdx(hi)) {
+			hi++
+		}
+		appendSpan(e.part, e.in, 0, lo, hi)
+		e.partN += hi - e.inPos
+		e.inPos = hi
+		if hi < e.in.N {
+			break // the next partition starts inside this batch
+		}
+	}
+	var sz int64
+	for _, col := range e.part {
+		sz += col.CapBytes()
+	}
+	e.res.ForceGrow(sz)
+	return nil
+}
+
+// inPartition reports whether physical row r of the current batch belongs
+// to the resident partition.
+func (e *windowEvalOp) inPartition(r int) bool {
+	for _, k := range e.same {
+		if e.part[k.Col].CompareRow(0, e.in.Cols[k.Col], r, false, false) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Next implements Operator.
 func (e *windowEvalOp) Next() (*vector.Batch, error) {
 	for {
-		if e.out != nil {
-			if b := emitRows(e.out, e.outPos, e.Types()); b != nil {
-				e.outPos += b.N
-				return b, nil
-			}
-			e.out, e.outPos = nil, 0
-			e.res.Release()
+		if b := e.out.next(); b != nil {
+			return b, nil
 		}
-		if e.eof && e.carry == nil {
+		e.out, e.part = batchViews{}, nil
+		e.res.Release()
+		if err := e.gather(); err != nil {
+			return nil, err
+		}
+		if e.partN == 0 {
 			return nil, nil
 		}
-		// Gather the next partition.
-		var part [][]types.Datum
-		if e.carry != nil {
-			part = append(part, e.carry)
-			e.carry = nil
-		}
-		for {
-			row, err := e.feed.next()
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				e.eof = true
-				break
-			}
-			e.res.ForceGrow(rowBytes(row))
-			if len(part) > 0 && !e.g.samePartition(part[0], row) {
-				e.carry = row
-				break
-			}
-			part = append(part, row)
-		}
-		if len(part) == 0 {
-			return nil, nil
-		}
-		res, err := evalGroupPartition(e.g, e.fns, part)
+		res := vector.NewBatch(e.Types()[1:], e.partN)
+		ev, err := newWindowEval(e.g, e.fns, e.part, e.partN, res.Cols)
 		if err != nil {
 			return nil, err
 		}
-		e.out = make([][]types.Datum, len(part))
-		for k := range part {
-			row := make([]types.Datum, 1+len(e.g.fnIdx))
-			row[0] = part[k][e.seqCol]
-			for i := range e.g.fnIdx {
-				row[1+i] = res[i][k]
-			}
-			e.out[k] = row
+		held := ev.argBytes
+		for _, col := range res.Cols {
+			held += col.CapBytes()
 		}
+		e.res.ForceGrow(held)
+		ev.partition(identityIndex(e.partN))
+		e.out.b = &vector.Batch{Cols: append([]*vector.Vector{e.part[e.seqCol]}, res.Cols...), N: e.partN}
 	}
 }
 
 // Close implements Operator.
 func (e *windowEvalOp) Close() error {
-	e.out, e.carry, e.feed = nil, nil, nil
+	e.in, e.part, e.out = nil, nil, batchViews{}
 	e.res.Release()
 	return e.Input.Close()
 }
 
-// rowFeed pulls rows one at a time across an operator's batch boundaries —
-// the lockstep cursor the external window emission zips streams with.
-type rowFeed struct {
+// batchFeed pulls an operator's stream in caller-sized steps across its
+// batch boundaries — the lockstep cursor the external window emission zips
+// result streams with.
+type batchFeed struct {
 	op     Operator
 	ctx    *Context
 	b      *vector.Batch
@@ -857,7 +821,7 @@ type rowFeed struct {
 
 // prime pulls the first batch, forcing any upstream materialization (sort
 // consume, partition evaluation) to happen now.
-func (f *rowFeed) prime() error {
+func (f *batchFeed) prime() error {
 	b, err := f.op.Next()
 	if err != nil {
 		return err
@@ -866,50 +830,28 @@ func (f *rowFeed) prime() error {
 	return nil
 }
 
-// next returns the next row, or nil at end of stream.
-func (f *rowFeed) next() ([]types.Datum, error) {
-	for {
+// appendNext appends the stream's next n rows onto dst, stream column
+// first+k onto dst[k]; a stream that ends short is an error.
+func (f *batchFeed) appendNext(dst []*vector.Vector, first, n int) error {
+	for n > 0 {
 		if f.b != nil && f.i < f.b.N {
-			//lint:ignore no-row-boxing window partitions evaluate over boxed rows (1760 ns/row); follow-up rides with the rowStore rewrite (ROADMAP 5b)
-			row := f.b.Row(f.i)
-			f.i++
-			return row, nil
+			hi := min(f.i+n, f.b.N)
+			appendSpan(dst, f.b, first, f.i, hi)
+			n -= hi - f.i
+			f.i = hi
+			continue
 		}
 		if f.primed && f.b == nil {
-			return nil, nil
+			return fmt.Errorf("exec: window result stream ended early")
 		}
 		if err := f.ctx.CheckCanceled(); err != nil {
-			return nil, err
+			return err
 		}
 		b, err := f.op.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.b, f.i, f.primed = b, 0, true
-		if b == nil {
-			return nil, nil
-		}
 	}
-}
-
-// evalOnRow evaluates a compiled expression against a single materialized
-// row by staging it into a one-row batch.
-func evalOnRow(e *CompiledExpr, row []types.Datum) (types.Datum, error) {
-	ts := make([]types.T, len(row))
-	for i, d := range row {
-		ts[i] = types.T{Kind: d.K}
-		if d.K == types.Decimal {
-			ts[i] = types.TDecimal(18, d.DecimalScale())
-		}
-	}
-	b := vector.NewBatch(ts, 1)
-	for c, d := range row {
-		b.Cols[c].Set(0, d)
-	}
-	b.N = 1
-	v, err := e.Eval(b)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	return v.Get(0), nil
+	return nil
 }

@@ -79,10 +79,13 @@ func runWindowOperatorTrial(t *testing.T, rng *rand.Rand) {
 		return got, env.ctx
 	}
 	base, _ := run(0)
-	budget := int64(2048 + rng.Intn(16384))
+	// Between a quarter and a half of what the input store accounts for
+	// these rows, so every trial spills whatever a stored row costs.
+	resident := storeBytes(rows, ts)
+	budget := resident/4 + rng.Int63n(resident/4)
 	got, ctx := run(budget)
 	if ctx.Governor().SpilledBytes() == 0 {
-		t.Fatalf("budget=%d over %d rows did not spill", budget, len(rows))
+		t.Fatalf("budget=%d of %d stored bytes over %d rows did not spill", budget, resident, len(rows))
 	}
 	if !rowsEqual(base, got) {
 		t.Fatalf("budget=%d rows=%d: external window output diverges from in-memory", budget, len(rows))

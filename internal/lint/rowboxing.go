@@ -6,11 +6,17 @@
 // table). Inside package exec a Row call lexically within a for/range loop
 // is a finding; the structures still boxed by design carry an annotated
 // suppression naming the follow-up that removes them.
+//
+// The other half of the contract is what an operator keeps: a [][]Datum
+// field on an Operator implementation of package exec is a boxed row store
+// — the shape the sort, window and spool operators had until they moved onto
+// columnar vectors — and is a finding at the field.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 )
 
 const noRowBoxingName = "no-row-boxing"
@@ -23,7 +29,7 @@ var NoRowBoxing = &Analyzer{
 }
 
 func runNoRowBoxing(w *Workspace) []Diagnostic {
-	var diags []Diagnostic
+	diags := boxedRowFields(w)
 	for _, fn := range w.Functions() {
 		if fn.Pkg.Types.Name() != "exec" {
 			continue
@@ -61,4 +67,50 @@ func runNoRowBoxing(w *Workspace) []Diagnostic {
 		visit(fn.Decl.Body, false)
 	}
 	return diags
+}
+
+// boxedRowFields reports the [][]Datum fields of package exec's Operator
+// implementations.
+func boxedRowFields(w *Workspace) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range w.Pkgs {
+		op := operatorInterface(pkg)
+		if pkg.Types.Name() != "exec" || op == nil {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || !types.Implements(types.NewPointer(tn.Type()), op) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !isDatumRows(f.Type()) {
+					continue
+				}
+				diags = append(diags, Diagnostic{
+					Pos:      w.Position(f.Pos()),
+					Analyzer: noRowBoxingName,
+					Message: fmt.Sprintf("operator %s keeps boxed rows in field %s ([][]Datum); hold column vectors instead (the exec rowStore)",
+						name, f.Name()),
+				})
+			}
+		}
+	}
+	return diags
+}
+
+// isDatumRows matches [][]Datum.
+func isDatumRows(t types.Type) bool {
+	outer, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	inner, ok := outer.Elem().Underlying().(*types.Slice)
+	return ok && typeNamed(inner.Elem(), "Datum")
 }

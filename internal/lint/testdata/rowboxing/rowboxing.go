@@ -67,3 +67,40 @@ func excused(b *Batch) [][]Datum {
 	}
 	return out
 }
+
+// Operator is the fixture's operator contract.
+type Operator interface {
+	Next() (*Batch, error)
+}
+
+// boxedSort is the pattern: an operator that materializes its input as
+// boxed rows.
+type boxedSort struct {
+	in   Operator
+	rows [][]Datum // want "keeps boxed rows in field rows"
+	n    int
+}
+
+func (s *boxedSort) Next() (*Batch, error) { return s.in.Next() }
+
+// columnarSort holds columns: allowed.
+type columnarSort struct {
+	in   Operator
+	cols [][]int64
+	row  []Datum
+}
+
+func (s *columnarSort) Next() (*Batch, error) { return s.in.Next() }
+
+// rowHeap keeps boxed rows but is not an operator: allowed.
+type rowHeap struct {
+	rows [][]Datum
+}
+
+// literalRows carries the annotated suppression the real tree uses.
+type literalRows struct {
+	//lint:ignore no-row-boxing fixture: rows that arrive boxed from outside the engine
+	rows [][]Datum
+}
+
+func (l *literalRows) Next() (*Batch, error) { return nil, nil }

@@ -6,6 +6,7 @@ package vector
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/types"
 )
@@ -260,6 +261,34 @@ func (v *Vector) extend(n int) int {
 	return at
 }
 
+// Slice returns rows lo..hi-1 of v as a vector sharing v's backing arrays —
+// a zero-copy view for replaying a long-lived column batch by batch. Its
+// capacity ends at hi, so an append to the view reallocates instead of
+// writing into v; the rows themselves must be treated as read-only.
+func (v *Vector) Slice(lo, hi int) *Vector {
+	s := &Vector{Type: v.Type}
+	switch v.Type.Kind {
+	case types.Float64:
+		s.F64 = v.F64[lo:hi:hi]
+	case types.String:
+		s.Str = v.Str[lo:hi:hi]
+	default:
+		s.I64 = v.I64[lo:hi:hi]
+	}
+	if v.Nulls != nil {
+		s.Nulls = v.Nulls[lo:hi:hi]
+	}
+	return s
+}
+
+// CapBytes returns the bytes v's backing arrays hold by capacity — what a
+// long-lived column really pins, growth slack included. String payloads are
+// not counted: they are shared with whatever the strings were copied from.
+func (v *Vector) CapBytes() int64 {
+	n := int64(cap(v.I64))*8 + int64(cap(v.F64))*8 + int64(cap(v.Str))*16
+	return n + int64(cap(v.Nulls))
+}
+
 // AppendRows appends from's n live rows (physical rows sel[0:n], or 0..n-1
 // when sel is nil) to the end of v, growing it — the kernel that retains a
 // batch column in a long-lived columnar store (the hash-join build table)
@@ -380,6 +409,40 @@ func (v *Vector) Gather(dst int, from *Vector, idx []int32) {
 	}
 }
 
+// rep classifies how rows of two columns compare: by raw backing value when
+// both share one representation, through datums otherwise.
+type rep uint8
+
+const (
+	repMixed rep = iota // mixed numeric, temporal or string-vs-number kinds
+	repI64
+	repF64
+	repStr
+)
+
+// repOf returns the common representation of two column types. Integer
+// backed columns share one when their kinds (and decimal scales) agree or
+// both are plain integers — the cases Datum.Compare decides on the raw I.
+func repOf(a, b types.T) rep {
+	switch ak, bk := a.Kind, b.Kind; {
+	case ak == types.String || bk == types.String:
+		if ak == bk {
+			return repStr
+		}
+	case ak == types.Float64 || bk == types.Float64:
+		if ak == bk {
+			return repF64
+		}
+	case ak == bk && (ak != types.Decimal || a.Scale == b.Scale), plainInt(ak) && plainInt(bk):
+		return repI64
+	}
+	return repMixed
+}
+
+func plainInt(k types.Kind) bool {
+	return k == types.Boolean || k == types.Int32 || k == types.Int64
+}
+
 // EqRow reports whether row i of v equals row j of o under join-key
 // equality: the relation Datum.Compare() == 0 yields, except that NULL
 // equals nothing. Columns of one representation compare raw backing values
@@ -390,21 +453,99 @@ func (v *Vector) EqRow(i int, o *Vector, j int) bool {
 	if (v.Nulls != nil && v.Nulls[i]) || (o.Nulls != nil && o.Nulls[j]) {
 		return false
 	}
-	switch vk, ok := v.Type.Kind, o.Type.Kind; {
-	case vk == types.String && ok == types.String:
+	switch repOf(v.Type, o.Type) {
+	case repStr:
 		return v.Str[i] == o.Str[j]
-	case vk == types.Float64 && ok == types.Float64:
+	case repF64:
 		a, b := v.F64[i], o.F64[j]
 		return !(a < b) && !(a > b)
-	case vk == ok && vk != types.String && vk != types.Float64 && (vk != types.Decimal || v.Type.Scale == o.Type.Scale),
-		plainInt(vk) && plainInt(ok):
+	case repI64:
 		return v.I64[i] == o.I64[j]
 	}
 	return v.Get(i).Compare(o.Get(j)) == 0
 }
 
-func plainInt(k types.Kind) bool {
-	return k == types.Boolean || k == types.Int32 || k == types.Int64
+// compareNulls orders two rows of which at least one is NULL: NULLs sort
+// together, ahead of every value under NULLS FIRST and behind it otherwise,
+// whatever the key's direction.
+func compareNulls(vn, on, nullsFirst bool) int {
+	switch {
+	case vn && on:
+		return 0
+	case vn == nullsFirst:
+		return -1
+	}
+	return 1
+}
+
+func cmpOrdered[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// CompareRow is the three-way comparison of row i of v with row j of o
+// under one sort key, negative when v's row orders first: Datum.Compare on
+// the two values, inverted by desc, with NULLs placed by nullsFirst alone.
+// Like EqRow it reads the backing stores and boxes only mixed kinds. A NaN
+// compares equal to everything, as cmpFloat has it.
+func (v *Vector) CompareRow(i int, o *Vector, j int, desc, nullsFirst bool) int {
+	vn, on := v.Nulls != nil && v.Nulls[i], o.Nulls != nil && o.Nulls[j]
+	if vn || on {
+		return compareNulls(vn, on, nullsFirst)
+	}
+	var c int
+	switch repOf(v.Type, o.Type) {
+	case repStr:
+		c = strings.Compare(v.Str[i], o.Str[j])
+	case repF64:
+		c = cmpOrdered(v.F64[i], o.F64[j])
+	case repI64:
+		c = cmpOrdered(v.I64[i], o.I64[j])
+	default:
+		c = v.Get(i).Compare(o.Get(j))
+	}
+	if desc {
+		return -c
+	}
+	return c
+}
+
+// Comparator returns CompareRow between rows of v itself with the
+// representation, direction and null handling resolved once — the form an
+// index sort calls n log n times. The column must not grow afterwards: the
+// closure holds its backing slices.
+func (v *Vector) Comparator(desc, nullsFirst bool) func(i, j int32) int {
+	sign := 1
+	if desc {
+		sign = -1
+	}
+	var values func(i, j int32) int
+	switch v.Type.Kind {
+	case types.String:
+		a := v.Str
+		values = func(i, j int32) int { return sign * strings.Compare(a[i], a[j]) }
+	case types.Float64:
+		a := v.F64
+		values = func(i, j int32) int { return sign * cmpOrdered(a[i], a[j]) }
+	default:
+		a := v.I64
+		values = func(i, j int32) int { return sign * cmpOrdered(a[i], a[j]) }
+	}
+	nulls := v.Nulls
+	if nulls == nil {
+		return values
+	}
+	return func(i, j int32) int {
+		if x, y := nulls[i], nulls[j]; x || y {
+			return compareNulls(x, y, nullsFirst)
+		}
+		return values(i, j)
+	}
 }
 
 // Hashing constants for the column-at-a-time key hashing used by hash

@@ -267,3 +267,40 @@ func TestLimitOffsetEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestTopNHeapIsGoverned pins the accounting of ORDER BY + LIMIT: the heap
+// holds LIMIT boxed rows whatever the budget, and before it reserved them
+// it was the one blocking operator the governor could not see — a LIMIT
+// 50000 over a million-row join reported the peak of the 3 600-row join
+// build alone. The peak must cover the heap, serial and per-worker, and the
+// reservation must be gone when the query ends.
+func TestTopNHeapIsGoverned(t *testing.T) {
+	wh, s := hammerWarehouse(t, 3600, 64<<20)
+	for _, stmt := range []string{
+		`CREATE RESOURCE PLAN tn`,
+		`CREATE POOL tn.work WITH alloc_fraction=1.0, query_parallelism=2, memory_fraction=1.0`,
+		`ALTER PLAN tn SET DEFAULT POOL = work`,
+		`ALTER RESOURCE PLAN tn ENABLE ACTIVATE`,
+	} {
+		s.MustExec(stmt)
+	}
+	const limit = 50000
+	// A kept row is two BIGINTs: the slice header plus two 48-byte datums.
+	const heapBytes = limit * (24 + 2*48)
+	for _, dop := range []string{"1", "2"} {
+		s.SetConf("hive.parallelism", dop)
+		res, err := s.Query(fmt.Sprintf(`SELECT a.k, b.k FROM facts a, facts b WHERE a.grp = b.grp ORDER BY a.k, b.k LIMIT %d`, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != limit {
+			t.Fatalf("dop=%s: %d rows, want %d", dop, len(res.Rows), limit)
+		}
+		if peak := s.inner.LastPeakMemoryBytes; peak < heapBytes {
+			t.Errorf("dop=%s: peak %d bytes does not cover the %d-row heap (%d bytes)", dop, peak, limit, heapBytes)
+		}
+	}
+	if err := wh.Server().WorkloadManager().Reconcile(); err != nil {
+		t.Error(err)
+	}
+}

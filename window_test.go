@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // windowWarehouse builds a fact table with heavy order-key ties, NULLs and
@@ -135,7 +136,7 @@ func TestWindowRegressionSerialVsParallel(t *testing.T) {
 }
 
 // TestBeyondMemoryWindow is the acceptance check: a window query whose
-// input far exceeds a 256KiB budget completes with output byte-identical
+// input is four times its memory budget completes with output byte-identical
 // to the unlimited-budget run, actually spills (observable in the session
 // accounting that feeds wm.QueryMetrics.SpilledBytes), and sweeps its
 // scratch files.
@@ -155,10 +156,14 @@ func TestBeyondMemoryWindow(t *testing.T) {
 		if got := s.inner.LastSpilledBytes; got != 0 {
 			t.Fatalf("unbudgeted run spilled %d bytes", got)
 		}
-		s.SetConf("hive.query.max.memory", "262144")
+		// A quarter of what the unbudgeted run held: the window's columnar
+		// store is the largest part of that peak, so the budget undercuts it
+		// whatever a stored row costs.
+		budget := s.inner.LastPeakMemoryBytes / 4
+		s.SetConf("hive.query.max.memory", fmt.Sprint(budget))
 		res, err := s.Exec(q)
 		if err != nil {
-			t.Fatalf("budget=256K %s: %v", q, err)
+			t.Fatalf("budget=%d %s: %v", budget, q, err)
 		}
 		// Arrival-order emission must survive the external pass exactly:
 		// no outer ORDER BY, the window operator's own order is compared.
@@ -166,7 +171,7 @@ func TestBeyondMemoryWindow(t *testing.T) {
 			t.Errorf("%s: budgeted window output diverges byte-wise", q)
 		}
 		if s.inner.LastSpilledBytes == 0 {
-			t.Errorf("%s: 256K budget over 2000 rows did not spill", q)
+			t.Errorf("%s: budget %d (a quarter of the resident peak) over 2000 rows did not spill", q, budget)
 		}
 		if s.inner.LastPeakMemoryBytes == 0 {
 			t.Errorf("%s: no peak memory accounted", q)
@@ -178,7 +183,7 @@ func TestBeyondMemoryWindow(t *testing.T) {
 		s.SetConf("hive.parallelism", "4")
 		pres, err := s.Exec(q)
 		if err != nil {
-			t.Fatalf("dop=4 budget=256K %s: %v", q, err)
+			t.Fatalf("dop=4 budget=%d %s: %v", budget, q, err)
 		}
 		if sortedLines(pres) != sortedLines(base) {
 			t.Errorf("%s: dop=4 budgeted results diverge", q)
@@ -244,11 +249,18 @@ func runWindowSpillTrial(t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := 4096 + rng.Intn(32768)
+	// Between an eighth and a quarter of the resident peak, of which the
+	// window's input store is the largest part: every trial spills, however
+	// many bytes a stored row costs.
+	peak := int(s.inner.LastPeakMemoryBytes)
+	budget := peak/8 + rng.Intn(peak/8)
 	s.SetConf("hive.query.max.memory", fmt.Sprint(budget))
 	res, err := s.Exec(q)
 	if err != nil {
 		t.Fatalf("budget=%d: %v", budget, err)
+	}
+	if s.inner.LastSpilledBytes == 0 {
+		t.Fatalf("budget=%d of a %d-byte resident peak over %d rows did not spill", budget, peak, rows)
 	}
 	if res.String() != base.String() {
 		t.Fatalf("budget=%d rows=%d: budgeted window output diverges", budget, rows)
@@ -266,5 +278,66 @@ func TestWindowSpillProperty(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		runWindowSpillTrial(t, rng)
+	}
+}
+
+// TestWindowCancelMidQuery kills a million-row window query by
+// hive.query.timeout a third of the way through its run time — past the
+// join, inside the window's sort or partition evaluation, which used to run
+// to completion before anything looked at the deadline. Wherever the deadline
+// lands the query must fail with a cancellation well before it would have
+// finished and leave nothing behind: no admission slot, no pool memory, no
+// scratch file. (The exec-level twin, TestCancelInsideBlockingPhase, cancels
+// at exactly the drain/compute boundary.)
+func TestWindowCancelMidQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: loads 3 600 rows and runs a million-row window twice")
+	}
+	wh, s := hammerWarehouse(t, 3600, 256<<20)
+	for _, stmt := range []string{
+		`CREATE RESOURCE PLAN wc`,
+		`CREATE POOL wc.work WITH alloc_fraction=1.0, query_parallelism=2, memory_fraction=1.0`,
+		`ALTER PLAN wc SET DEFAULT POOL = work`,
+		`ALTER RESOURCE PLAN wc ENABLE ACTIVATE`,
+	} {
+		s.MustExec(stmt)
+	}
+	s.SetConf("hive.parallelism", "1")
+	// 13 groups of 277 rows joined with themselves: ~1M rows into the window.
+	q := `SELECT COUNT(*), MAX(w) FROM (
+	        SELECT SUM(b.k) OVER (PARTITION BY a.grp ORDER BY b.k, a.k) AS w
+	          FROM facts a, facts b WHERE a.grp = b.grp) x`
+	start := time.Now()
+	res, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	if n := res.Rows[0][0].I; n < 900000 {
+		t.Fatalf("window saw %d rows, want about a million", n)
+	}
+
+	s.SetConf("hive.query.timeout", fmt.Sprint(full.Milliseconds()/3))
+	start = time.Now()
+	_, err = s.Query(q)
+	took := time.Since(start)
+	if err == nil || !(strings.Contains(err.Error(), "canceled") || strings.Contains(err.Error(), "deadline")) {
+		t.Fatalf("query under a deadline of a third of its %v run time returned %v; want a cancellation error", full, err)
+	}
+	t.Logf("full run %v; under a %dms deadline the query returned after %v", full, full.Milliseconds()/3, took)
+	if took > full*5/6 {
+		t.Errorf("canceled query returned after %v of a %v run: the blocking phase did not notice the deadline", took, full)
+	}
+	mgr := wh.Server().WorkloadManager()
+	if st, err := mgr.Stats("work"); err != nil {
+		t.Fatal(err)
+	} else if st.Running != 0 || st.Queued != 0 || st.ExecInUse != 0 || st.MemInUse != 0 {
+		t.Errorf("canceled query leaked admission state: %+v", st)
+	}
+	if leaks := scratchLeaks(t, wh); len(leaks) != 0 {
+		t.Errorf("canceled query leaked scratch files: %v", leaks)
+	}
+	if err := mgr.Reconcile(); err != nil {
+		t.Error(err)
 	}
 }
