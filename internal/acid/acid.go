@@ -363,11 +363,6 @@ func anyInvalidUpTo(valid txn.ValidWriteIds, hi int64) bool {
 	return false
 }
 
-// SetChunkReader routes data reads through a caching chunk source (LLAP).
-// Readers already opened keep their previous source; prefer passing the
-// full wiring to OpenSnapshotWith.
-func (s *Snapshot) SetChunkReader(cr orc.ChunkReader) { s.opts.Chunks = cr }
-
 func (s *Snapshot) loadDeletes(d storeDir) error {
 	// Dir-level validity first, before any file listing or stripe I/O: a
 	// single-write delete delta from an open or aborted transaction

@@ -30,7 +30,6 @@ type HashAggOp struct {
 	Aggs         []CompiledAgg
 	GroupingSets [][]int
 	Out          []types.T
-	Stats        *RuntimeStats
 	Ctx          *Context
 
 	sink *spillAggTable
@@ -456,9 +455,6 @@ func (a *HashAggOp) Next() (*vector.Batch, error) {
 	out, err := a.sink.nextBatch(a.Out, a.GroupingSets)
 	if err != nil || out == nil {
 		return nil, err
-	}
-	if a.Stats != nil {
-		a.Stats.Rows.Add(int64(out.N))
 	}
 	return out, nil
 }

@@ -14,8 +14,6 @@ type Compiler struct {
 	Ctx         *Context
 	MakeScan    func(s *plan.Scan) (Operator, error)
 	MakeForeign func(f *plan.ForeignScan) (Operator, error)
-	// CollectStats enables per-operator row counters for reoptimization.
-	CollectStats bool
 }
 
 // Compile builds the operator tree for a logical plan.
@@ -51,11 +49,7 @@ func (c *Compiler) Compile(r plan.Rel) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := &FilterOp{Input: in, Pred: pred}
-		if c.CollectStats {
-			op.Stats = c.Ctx.NewStats("filter")
-		}
-		return op, nil
+		return &FilterOp{Input: in, Pred: pred}, nil
 
 	case *plan.Project:
 		in, err := c.Compile(x.Input)
@@ -92,11 +86,7 @@ func (c *Compiler) Compile(r plan.Rel) (Operator, error) {
 		for _, f := range x.Schema() {
 			out = append(out, f.T)
 		}
-		op := &HashAggOp{Input: in, GroupExprs: groups, Aggs: aggs, GroupingSets: x.GroupingSets, Out: out, Ctx: c.Ctx}
-		if c.CollectStats {
-			op.Stats = c.Ctx.NewStats("aggregate")
-		}
-		return op, nil
+		return &HashAggOp{Input: in, GroupExprs: groups, Aggs: aggs, GroupingSets: x.GroupingSets, Out: out, Ctx: c.Ctx}, nil
 
 	case *plan.Window:
 		in, err := c.Compile(x.Input)
@@ -215,9 +205,6 @@ func (c *Compiler) compileJoin(j *plan.Join) (Operator, error) {
 	}
 	if j.ReducerID != 0 && c.Ctx != nil && len(rightKeys) > 0 {
 		op.BuildFilter = c.Ctx.RegisterFilter(j.ReducerID)
-	}
-	if c.CollectStats {
-		op.Stats = c.Ctx.NewStats("join")
 	}
 	return op, nil
 }

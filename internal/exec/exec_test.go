@@ -459,23 +459,3 @@ func TestDynamicPartitionPruning(t *testing.T) {
 		}
 	}
 }
-
-func TestMemoryPressureError(t *testing.T) {
-	w := newTestWarehouse(t)
-	st, _ := sql.Parse("SELECT 1 FROM sales JOIN items ON sales.item_sk = items.item_sk")
-	rel, err := analyze.New(w.ms, "default").AnalyzeSelect(st.(*sql.SelectStmt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext()
-	ctx.MemoryLimitRows = 2
-	comp := &Compiler{Ctx: ctx, MakeScan: w.makeScan(ctx)}
-	op, err := comp.Compile(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Drain(op)
-	if _, ok := err.(ErrMemoryPressure); !ok {
-		t.Errorf("expected memory pressure, got %v", err)
-	}
-}

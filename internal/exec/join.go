@@ -47,7 +47,6 @@ type HashJoinOp struct {
 	RightKeys   []*CompiledExpr // over right row
 	Residual    *CompiledExpr   // over left++right row, may be nil
 	Ctx         *Context
-	Stats       *RuntimeStats
 	// BuildFilter, when non-nil, receives the build-side key values to
 	// populate a dynamic semijoin reducer (paper §4.6).
 	BuildFilter *RuntimeFilter
@@ -217,7 +216,6 @@ func (j *HashJoinOp) buildTable(right Operator) (*joinTable, [][]string, error) 
 	}
 	defer release()
 
-	var total atomic.Int64
 	locals := make([]*joinTable, dop)
 	for w := range locals {
 		locals[w] = j.newTable()
@@ -240,7 +238,7 @@ func (j *HashJoinOp) buildTable(right Operator) (*joinTable, [][]string, error) 
 						continue // drain after failure
 					}
 					var denied bool
-					if denied, errs[w] = j.stageBuildBatch(b, locals[w], &total); errs[w] != nil || denied && canGrace {
+					if denied, errs[w] = j.stageBuildBatch(b, locals[w]); errs[w] != nil || denied && canGrace {
 						stop.Store(true)
 					}
 				}
@@ -286,7 +284,7 @@ func (j *HashJoinOp) buildTable(right Operator) (*joinTable, [][]string, error) 
 			break
 		}
 		var denied bool
-		if denied, err = j.stageBuildBatch(b, t, &total); err == nil && denied && canGrace && j.res.ShouldSpill() {
+		if denied, err = j.stageBuildBatch(b, t); err == nil && denied && canGrace && j.res.ShouldSpill() {
 			err = j.flushBuildSpill(t)
 		}
 	}
@@ -308,7 +306,7 @@ func (j *HashJoinOp) buildTable(right Operator) (*joinTable, [][]string, error) 
 // governor what it now holds: the vector payload plus 16 bytes per row for
 // the hash and the chain index. denied reports a refused reservation; the
 // bytes are taken regardless, since the rows are resident until a flush.
-func (j *HashJoinOp) stageBuildBatch(b *vector.Batch, t *joinTable, total *atomic.Int64) (denied bool, err error) {
+func (j *HashJoinOp) stageBuildBatch(b *vector.Batch, t *joinTable) (denied bool, err error) {
 	keys, err := evalKeys(j.RightKeys, b, nil)
 	if err != nil {
 		return false, err
@@ -317,9 +315,6 @@ func (j *HashJoinOp) stageBuildBatch(b *vector.Batch, t *joinTable, total *atomi
 	t.hashes = hashKeys(keys, b, t.hashes)
 	if denied = !j.res.Grow(sz); denied {
 		j.res.ForceGrow(sz)
-	}
-	if n := total.Add(int64(b.N)); j.Ctx != nil && j.Ctx.MemoryLimitRows > 0 && n > j.Ctx.MemoryLimitRows {
-		return denied, ErrMemoryPressure{Operator: "hash join build", Rows: n}
 	}
 	return denied, nil
 }
@@ -387,7 +382,7 @@ func (j *HashJoinOp) Next() (*vector.Batch, error) {
 		if len(j.ready) > 0 {
 			out := j.ready[0]
 			j.ready = j.ready[1:]
-			return j.bumpStats(out), nil
+			return out, nil
 		}
 		if j.pb != nil {
 			if err := j.probeStep(); err != nil {
@@ -400,7 +395,7 @@ func (j *HashJoinOp) Next() (*vector.Batch, error) {
 			if out != nil {
 				out.N, j.out = j.outN, nil
 			}
-			return j.bumpStats(out), nil
+			return out, nil
 		}
 		b, err := j.nextProbeBatch()
 		if err != nil {
@@ -419,13 +414,6 @@ func (j *HashJoinOp) Next() (*vector.Batch, error) {
 			j.sel = make([]int, 0, b.N) // leaves with the output batch
 		}
 	}
-}
-
-func (j *HashJoinOp) bumpStats(b *vector.Batch) *vector.Batch {
-	if j.Stats != nil && b != nil {
-		j.Stats.Rows.Add(int64(b.N))
-	}
-	return b
 }
 
 // nextProbeBatch returns the next batch to probe j.table with, nil when
@@ -844,7 +832,7 @@ func (j *HashJoinOp) cloneOver(in Operator) Operator {
 	return &HashJoinOp{
 		Left: in, Right: j.Right, Kind: j.Kind,
 		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
-		Ctx: j.Ctx, Stats: j.Stats, Shared: j.Shared, BuildFilter: j.BuildFilter,
+		Ctx: j.Ctx, Shared: j.Shared, BuildFilter: j.BuildFilter,
 		outTypes: j.outTypes, leftW: j.leftW, rtTypes: j.rtTypes,
 	}
 }

@@ -156,14 +156,6 @@ func (r *Reservation) Shrink(n int64) {
 	}
 }
 
-// Held returns the bytes currently held by this reservation.
-func (r *Reservation) Held() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.held.Load()
-}
-
 // ShouldSpill reports whether spilling this reservation's state is worth
 // it after a denied grow: it must hold enough that flushing frees a useful
 // fraction of the budget. A denial with almost nothing resident — another

@@ -340,7 +340,6 @@ type MergeOp struct {
 	Workers []Operator
 	Keys    []plan.SortKey
 	Ctx     *Context
-	merges  []statMerge
 
 	exchange
 	chans   []chan *vector.Batch
@@ -419,7 +418,7 @@ func (m *MergeOp) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (m *MergeOp) Close() error {
 	m.shutdown()
-	return closeWorkers(m.Workers, m.merges)
+	return closeWorkers(m.Workers)
 }
 
 // Child implements Node.
@@ -449,7 +448,6 @@ type ParallelTopNOp struct {
 	N       int64
 	Offset  int64
 	Ctx     *Context
-	merges  []statMerge
 
 	res  *Reservation
 	out  batchViews // the kept rows past the offset, in key order
@@ -515,7 +513,7 @@ func (t *ParallelTopNOp) Next() (*vector.Batch, error) {
 func (t *ParallelTopNOp) Close() error {
 	t.out = batchViews{}
 	t.res.Release()
-	return closeWorkers(t.Workers, t.merges)
+	return closeWorkers(t.Workers)
 }
 
 // Child implements Node.

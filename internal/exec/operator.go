@@ -31,13 +31,6 @@ type Operator interface {
 	Close() error
 }
 
-// RuntimeStats counts rows flowing out of an operator; HS2's reoptimization
-// compares them with the optimizer's estimates (paper §4.2).
-type RuntimeStats struct {
-	Name string
-	Rows atomic.Int64
-}
-
 // SlotPool grants executor slots to parallel operators without blocking.
 // *llap.Daemons satisfies it; a nil pool means parallelism is unbounded.
 type SlotPool interface {
@@ -64,11 +57,6 @@ type Context struct {
 	// BloomFilters holds runtime semijoin reducers keyed by reducer id
 	// (paper §4.6): the build side registers, scans consult.
 	blooms map[int]*RuntimeFilter
-	// Stats per plan operator for reoptimization.
-	Stats []*RuntimeStats
-	// MemoryLimitRows aborts hash joins whose build side exceeds the
-	// limit, simulating executor memory pressure (drives reoptimization).
-	MemoryLimitRows int64
 	// spools holds the shared-work materializations keyed by spool id
 	// (spool.go); spoolMu guards map access for parallel worker clones.
 	spoolMu sync.Mutex
@@ -157,13 +145,6 @@ func (c *Context) AcquireExtra(n int) (granted int, release func()) {
 	return 0, func() {}
 }
 
-// NewStats registers a named stats counter.
-func (c *Context) NewStats(name string) *RuntimeStats {
-	s := &RuntimeStats{Name: name}
-	c.Stats = append(c.Stats, s)
-	return s
-}
-
 // RuntimeFilter is the product of a semijoin reducer build: the min/max
 // range and Bloom filter of the join keys (paper §4.6), plus the exact
 // value set when small enough for dynamic partition pruning.
@@ -234,17 +215,6 @@ func (b *Bloom) MayContain(h uint64) bool {
 	return true
 }
 
-// ErrMemoryPressure simulates an executor running out of memory; HS2
-// catches it and reoptimizes the query (paper §4.2).
-type ErrMemoryPressure struct {
-	Operator string
-	Rows     int64
-}
-
-func (e ErrMemoryPressure) Error() string {
-	return fmt.Sprintf("exec: %s exceeded memory budget at %d rows", e.Operator, e.Rows)
-}
-
 // ValuesOp emits a fixed set of rows.
 type ValuesOp struct {
 	//lint:ignore no-row-boxing literal rows arrive boxed from the plan (INSERT ... VALUES, folded constants); they become one batch on the first Next
@@ -291,7 +261,6 @@ func (v *ValuesOp) Stage() Stage { return StagePipelined }
 type FilterOp struct {
 	Input Operator
 	Pred  *CompiledExpr
-	Stats *RuntimeStats
 }
 
 // Types implements Operator.
@@ -314,11 +283,7 @@ func (f *FilterOp) Next() (*vector.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		out := &vector.Batch{Cols: b.Cols, Sel: sel, N: len(sel)}
-		if f.Stats != nil {
-			f.Stats.Rows.Add(int64(out.N))
-		}
-		return out, nil
+		return &vector.Batch{Cols: b.Cols, Sel: sel, N: len(sel)}, nil
 	}
 }
 
@@ -341,7 +306,7 @@ func (f *FilterOp) Delivers() plan.Properties { return DeliveredProps(f.Input) }
 func (f *FilterOp) streamed() Operator { return f.Input }
 
 func (f *FilterOp) cloneOver(in Operator) Operator {
-	return &FilterOp{Input: in, Pred: f.Pred, Stats: f.Stats}
+	return &FilterOp{Input: in, Pred: f.Pred}
 }
 
 // ProjectOp evaluates expressions into a new batch.
@@ -349,7 +314,6 @@ type ProjectOp struct {
 	Input Operator
 	Exprs []*CompiledExpr
 	Out   []types.T
-	Stats *RuntimeStats
 }
 
 // Types implements Operator.
@@ -372,11 +336,7 @@ func (p *ProjectOp) Next() (*vector.Batch, error) {
 		}
 		cols[i] = v
 	}
-	out := &vector.Batch{Cols: cols, Sel: b.Sel, N: b.N}
-	if p.Stats != nil {
-		p.Stats.Rows.Add(int64(out.N))
-	}
-	return out, nil
+	return &vector.Batch{Cols: cols, Sel: b.Sel, N: b.N}, nil
 }
 
 // Close implements Operator.
@@ -398,7 +358,7 @@ func (p *ProjectOp) Delivers() plan.Properties { return projectProps(p) }
 func (p *ProjectOp) streamed() Operator { return p.Input }
 
 func (p *ProjectOp) cloneOver(in Operator) Operator {
-	return &ProjectOp{Input: in, Exprs: p.Exprs, Out: p.Out, Stats: p.Stats}
+	return &ProjectOp{Input: in, Exprs: p.Exprs, Out: p.Out}
 }
 
 // LimitOp skips the first Offset rows, then stops after N more.

@@ -20,16 +20,6 @@ import (
 	"repro/internal/vector"
 )
 
-// statMerge folds a worker-local row counter into the plan-level counter
-// when the parallel operator closes.
-type statMerge struct{ from, to *RuntimeStats }
-
-func mergeStats(merges []statMerge) {
-	for _, m := range merges {
-		m.to.Rows.Add(m.from.Rows.Swap(0))
-	}
-}
-
 // exchange is the worker lifecycle every parallel exchange operator
 // shares: executor-slot acquisition, the first-error latch, cooperative
 // shutdown of worker goroutines and slot return. ParallelOp and MergeOp
@@ -145,16 +135,14 @@ func (e *exchange) drainWorker(w Operator, send func(*vector.Batch) bool) {
 	}
 }
 
-// closeWorkers tears down every worker pipeline and folds the per-worker
-// stat counters back into the plan counters.
-func closeWorkers(workers []Operator, merges []statMerge) error {
+// closeWorkers tears down every worker pipeline.
+func closeWorkers(workers []Operator) error {
 	var first error
 	for _, w := range workers {
 		if err := w.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	mergeStats(merges)
 	return first
 }
 
@@ -166,7 +154,6 @@ func closeWorkers(workers []Operator, merges []statMerge) error {
 type ParallelOp struct {
 	Workers []Operator
 	Ctx     *Context
-	merges  []statMerge
 
 	exchange
 	out chan *vector.Batch
@@ -224,7 +211,7 @@ func (p *ParallelOp) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (p *ParallelOp) Close() error {
 	p.shutdown()
-	return closeWorkers(p.Workers, p.merges)
+	return closeWorkers(p.Workers)
 }
 
 // Child implements Node.
@@ -253,8 +240,6 @@ type ParallelHashAggOp struct {
 	GroupingSets [][]int
 	Out          []types.T
 	Ctx          *Context
-	Stats        *RuntimeStats
-	merges       []statMerge
 
 	// Disjoint marks partition-wise placement (props.go): the group keys
 	// cover the base scan's partition columns and splits are whole
@@ -448,9 +433,6 @@ func (a *ParallelHashAggOp) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	if a.Stats != nil {
-		a.Stats.Rows.Add(int64(b.N))
-	}
 	return b, nil
 }
 
@@ -464,7 +446,7 @@ func (a *ParallelHashAggOp) Close() error {
 	a.locals, a.partTable = nil, nil
 	a.sink.close()
 	a.sink = nil
-	return closeWorkers(a.Workers, a.merges)
+	return closeWorkers(a.Workers)
 }
 
 // Child implements Node.
@@ -519,21 +501,19 @@ func (p *parallelizer) rec(op Operator) Operator {
 		// key-disjoint. Stripe expansion is suppressed — directory
 		// integrity IS the disjointness — and the final merge appends.
 		if p.aggPartitionWise(x) {
-			if workers, merges, ok := p.cloneWorkersExpand(x.Input, false); ok {
+			if workers, ok := p.cloneWorkersExpand(x.Input, false); ok {
 				p.changed = true
 				return &ParallelHashAggOp{
 					Workers: workers, GroupExprs: x.GroupExprs, Aggs: x.Aggs,
-					Out: x.Out, Ctx: p.ctx, Stats: x.Stats, merges: merges,
-					Disjoint: true,
+					Out: x.Out, Ctx: p.ctx, Disjoint: true,
 				}
 			}
 		}
-		if workers, merges, ok := p.cloneWorkers(x.Input); ok {
+		if workers, ok := p.cloneWorkers(x.Input); ok {
 			p.changed = true
 			return &ParallelHashAggOp{
 				Workers: workers, GroupExprs: x.GroupExprs, Aggs: x.Aggs,
 				GroupingSets: x.GroupingSets, Out: x.Out, Ctx: p.ctx,
-				Stats: x.Stats, merges: merges,
 			}
 		}
 	case *ScanOp, *FilterOp, *ProjectOp, *HashJoinOp:
@@ -544,30 +524,30 @@ func (p *parallelizer) rec(op Operator) Operator {
 			p.changed = true
 			return pj
 		}
-		if workers, merges, ok := p.cloneWorkers(op); ok {
+		if workers, ok := p.cloneWorkers(op); ok {
 			p.changed = true
-			return &ParallelOp{Workers: workers, Ctx: p.ctx, merges: merges}
+			return &ParallelOp{Workers: workers, Ctx: p.ctx}
 		}
 	case *SortOp:
 		// Parallel ORDER BY: the sort moves below the exchange — every
 		// worker sorts its share of the morsel stream into a local run,
 		// and the order-preserving MergeOp streams the runs through a
 		// loser-tree k-way merge on the coordinator.
-		if workers, merges, ok := p.cloneWorkers(x.Input); ok {
+		if workers, ok := p.cloneWorkers(x.Input); ok {
 			p.changed = true
 			runs := make([]Operator, len(workers))
 			for i, w := range workers {
 				runs[i] = &SortOp{Input: w, Keys: x.Keys, Ctx: p.ctx}
 			}
-			return &MergeOp{Workers: runs, Keys: x.Keys, Ctx: p.ctx, merges: merges}
+			return &MergeOp{Workers: runs, Keys: x.Keys, Ctx: p.ctx}
 		}
 	case *TopNOp:
 		// Parallel TopN: the LIMIT pushes into every worker's run as a
 		// thread-local bounded heap; survivors merge into one final heap.
 		if x.N > 0 {
-			if workers, merges, ok := p.cloneWorkers(x.Input); ok {
+			if workers, ok := p.cloneWorkers(x.Input); ok {
 				p.changed = true
-				return &ParallelTopNOp{Workers: workers, Keys: x.Keys, N: x.N, Offset: x.Offset, Ctx: p.ctx, merges: merges}
+				return &ParallelTopNOp{Workers: workers, Keys: x.Keys, N: x.N, Offset: x.Offset, Ctx: p.ctx}
 			}
 		}
 	case *LimitOp:
@@ -575,9 +555,9 @@ func (p *parallelizer) rec(op Operator) Operator {
 		// compiler's TopN fusion) is still a TopN: push the limit into
 		// per-worker runs rather than serializing the sort.
 		if s, ok := x.Input.(*SortOp); ok && x.N > 0 {
-			if workers, merges, ok := p.cloneWorkers(s.Input); ok {
+			if workers, ok := p.cloneWorkers(s.Input); ok {
 				p.changed = true
-				return &ParallelTopNOp{Workers: workers, Keys: s.Keys, N: x.N, Offset: x.Offset, Ctx: p.ctx, merges: merges}
+				return &ParallelTopNOp{Workers: workers, Keys: s.Keys, N: x.N, Offset: x.Offset, Ctx: p.ctx}
 			}
 		}
 	}
@@ -625,14 +605,14 @@ const spoolMorsels = 1 << 20
 // (extra workers would never receive a split) and the executor pool size
 // (extra workers would never receive a slot). The original operators are
 // mutated to carry the shared state and then templated.
-func (p *parallelizer) cloneWorkers(op Operator) ([]Operator, []statMerge, bool) {
+func (p *parallelizer) cloneWorkers(op Operator) ([]Operator, bool) {
 	return p.cloneWorkersExpand(op, true)
 }
 
 // cloneWorkersExpand is cloneWorkers with stripe expansion controllable:
 // partition-wise placements keep directory splits whole because split
 // value-disjointness is what makes their merge an append.
-func (p *parallelizer) cloneWorkersExpand(op Operator, expand bool) ([]Operator, []statMerge, bool) {
+func (p *parallelizer) cloneWorkersExpand(op Operator, expand bool) ([]Operator, bool) {
 	src := pipelineSource(op)
 	scan, _ := src.(*ScanOp)
 	spool, _ := src.(*SpoolOp)
@@ -647,14 +627,14 @@ func (p *parallelizer) cloneWorkersExpand(op Operator, expand bool) ([]Operator,
 		}
 		morsels = len(scan.Splits)
 	} else if spool == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	n := min(p.dop, morsels)
 	if p.ctx != nil && p.ctx.Slots != nil {
 		n = min(n, p.ctx.Slots.Executors()+1) // +1: the coordinator's implicit slot
 	}
 	if n < 2 {
-		return nil, nil, false
+		return nil, false
 	}
 	// Attach the cross-worker state to the template: every join on the
 	// chain gets a shared build (whose own input subtree is parallelized
@@ -666,22 +646,13 @@ func (p *parallelizer) cloneWorkersExpand(op Operator, expand bool) ([]Operator,
 			j.Right = nil
 		}
 	}
-	var merges []statMerge
 	var source func(Operator) Operator
 	if scan != nil {
 		if scan.Shared == nil {
 			scan.Shared = NewSplitQueue(scan.Splits)
 			scan.Splits = nil
 		}
-		// Scans get per-worker stats counters, merged back on Close.
-		source = func(Operator) Operator {
-			c := scan.clone()
-			if scan.Stats != nil {
-				c.Stats = &RuntimeStats{Name: scan.Stats.Name}
-				merges = append(merges, statMerge{from: c.Stats, to: scan.Stats})
-			}
-			return c
-		}
+		source = func(Operator) Operator { return scan.clone() }
 	} else {
 		if spool.Cursor == nil {
 			spool.Types() // resolve the schema while single-threaded
@@ -698,7 +669,7 @@ func (p *parallelizer) cloneWorkersExpand(op Operator, expand bool) ([]Operator,
 	for w := range workers {
 		workers[w] = clonePipeline(op, source)
 	}
-	return workers, merges, true
+	return workers, true
 }
 
 // expandScanSplits replaces the scan's directory splits with stripe ranges

@@ -109,13 +109,11 @@ func (w *testWarehouse) salesScan(ctx *Context) *ScanOp {
 }
 
 // TestParallelOpExchange drives the generic exchange directly: workers
-// sharing a morsel queue must emit every split exactly once, and
-// per-worker scan stats must merge back on Close.
+// sharing a morsel queue must emit every split exactly once.
 func TestParallelOpExchange(t *testing.T) {
 	w := newTestWarehouse(t)
 	ctx := NewContext()
 	scan := w.salesScan(ctx)
-	scan.Stats = ctx.NewStats("scan")
 	par, changed := Parallelize(scan, ctx, 4)
 	if !changed {
 		t.Fatal("Parallelize reported no change for a multi-split scan")
@@ -137,9 +135,6 @@ func TestParallelOpExchange(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("expected 8 rows, got %d", len(rows))
 	}
-	if got := scan.Stats.Rows.Load(); got != 8 {
-		t.Fatalf("merged scan stats = %d, want 8", got)
-	}
 }
 
 // TestParallelHashAggTwoPhase checks the partial/merge path against known
@@ -155,30 +150,6 @@ func TestParallelHashAggTwoPhase(t *testing.T) {
 	want := []string{"1|2.25|4", "2|2.5|4"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-// TestParallelMemoryPressure verifies that a build-side overflow inside a
-// parallel plan still surfaces ErrMemoryPressure (reoptimization trigger).
-func TestParallelMemoryPressure(t *testing.T) {
-	w := newTestWarehouse(t)
-	st, _ := sql.Parse(`SELECT category, SUM(qty) FROM sales s, items i WHERE s.item_sk = i.item_sk GROUP BY category`)
-	rel, err := analyze.New(w.ms, "default").AnalyzeSelect(st.(*sql.SelectStmt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext()
-	ctx.DOP = 4
-	ctx.MemoryLimitRows = 2
-	comp := &Compiler{Ctx: ctx, MakeScan: w.makeScan(ctx)}
-	op, err := comp.Compile(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, _ = Parallelize(op, ctx, 4)
-	_, err = Drain(op)
-	if _, ok := err.(ErrMemoryPressure); !ok {
-		t.Fatalf("expected ErrMemoryPressure, got %v", err)
 	}
 }
 

@@ -108,7 +108,6 @@ type ScanOp struct {
 	RF     []RuntimeFilterBind
 	Prune  []PartPruneBind
 	Ctx    *Context
-	Stats  *RuntimeStats
 	// Shared, when non-nil, overrides Splits: this scan is one worker of a
 	// parallel scan and steals its splits from the shared morsel queue.
 	Shared *SplitQueue
@@ -163,9 +162,6 @@ func (s *ScanOp) Next() (*vector.Batch, error) {
 		if len(s.pending) > 0 {
 			b := s.pending[0]
 			s.pending = s.pending[1:]
-			if s.Stats != nil {
-				s.Stats.Rows.Add(int64(b.N))
-			}
 			return b, nil
 		}
 		split, ok := s.nextSplit()
@@ -425,6 +421,6 @@ func (s *ScanOp) Delivers() plan.Properties {
 func (s *ScanOp) clone() *ScanOp {
 	return &ScanOp{
 		FS: s.FS, Table: s.Table, Cols: s.Cols, Meta: s.Meta, Splits: s.Splits,
-		Sarg: s.Sarg, RF: s.RF, Prune: s.Prune, Ctx: s.Ctx, Stats: s.Stats, Shared: s.Shared,
+		Sarg: s.Sarg, RF: s.RF, Prune: s.Prune, Ctx: s.Ctx, Shared: s.Shared,
 	}
 }

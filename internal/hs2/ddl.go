@@ -62,18 +62,15 @@ func (s *Session) executeCreateTable(x *sql.CreateTableStmt) (*Result, error) {
 	// CTAS: derive schema from the query.
 	var ctasRows [][]types.Datum
 	if x.AsSelect != nil {
-		rel, err := s.compileSelect(x.AsSelect)
+		q := &query{sel: x.AsSelect, internal: true}
+		res, err := s.run(q)
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range rel.Schema() {
+		for _, f := range q.rel.Schema() {
 			t.Cols = append(t.Cols, metastore.Column{Name: f.Name, Type: f.T})
 		}
-		rows, err := s.runPlan(rel)
-		if err != nil {
-			return nil, err
-		}
-		ctasRows = rows
+		ctasRows = res.Rows
 	}
 	if err := s.srv.MS.CreateTable(t); err != nil {
 		return nil, err
@@ -138,7 +135,7 @@ func (s *Session) fillMV(t *metastore.Table, rel plan.Rel) error {
 	walk(rel)
 	// Full optimization (without MV rewriting, which could self-reference)
 	// followed by federation pushdown.
-	optimized := opt.New(s.srv.MS, s.optimizerOptions()).Optimize(rel)
+	optimized := opt.New(s.srv.MS, s.opts.planner.Options).Optimize(rel)
 	optimized = s.srv.Registry.PushComputation(optimized)
 	rows, err := s.runPlan(optimized)
 	if err != nil {

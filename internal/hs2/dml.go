@@ -94,15 +94,11 @@ func (s *Session) sourceRows(x *sql.InsertStmt, t *metastore.Table, static map[s
 		}
 		src = b
 	case x.Select != nil:
-		rel, err := s.compileSelect(x.Select)
+		res, err := s.run(&query{sel: x.Select, internal: true})
 		if err != nil {
 			return nil, err
 		}
-		rows, err := s.runPlan(rel)
-		if err != nil {
-			return nil, err
-		}
-		src = rows
+		src = res.Rows
 	default:
 		return nil, fmt.Errorf("hs2: INSERT requires VALUES or SELECT")
 	}
@@ -367,16 +363,6 @@ func (s *Session) collectTargets(t *metastore.Table, where sql.Expr) ([]rowTarge
 	scan.Meta = true
 	var rel plan.Rel = scan
 	if where != nil {
-		// Resolve the predicate against the scan schema via the analyzer.
-		sel := &sql.SelectStmt{
-			Body: &sql.SelectCore{
-				Items: []sql.SelectItem{{Star: true}},
-				From:  &sql.TableName{DB: t.DB, Name: t.Name},
-				Where: where,
-			},
-			Limit: -1,
-		}
-		_ = sel
 		cond, err := s.resolveOverScan(scan, where)
 		if err != nil {
 			return nil, err

@@ -67,22 +67,11 @@ var knobRegistry = map[string]Knob{
 		Default: "3",
 		Doc:     "simulated per-query container launch latency in container execution mode",
 	},
-	"hive.exec.memory.limit.rows": {
-		Default: "0",
-		Doc:     "kill queries whose operators materialize more than this many rows; 0 disables",
-	},
-	"hive.query.reexecution.enabled": {
-		Default: "true",
-		Doc:     "re-run a memory-killed query once with a degraded (spilling) configuration",
-	},
-	"hive.query.reexecution.strategy": {
-		Default: "overlay",
-		Doc:     "how re-execution degrades the retry: overlay swaps conf overrides before the second run",
-	},
 	"hive.parallelism": {
-		Default: "1", // NewServer raises this to runtime.NumCPU()
+		Default: "0",
 		Doc: "intra-query DOP: LLAP fragments fan out over this many executor slots " +
-			"(morsel-driven scans, two-phase aggregation, partitioned join builds)",
+			"(morsel-driven scans, two-phase aggregation, partitioned join builds); " +
+			"0 means the machine's CPU count",
 	},
 	"hive.split.target.stripes": {
 		Default: "1",

@@ -3,52 +3,36 @@ package hs2
 import (
 	"fmt"
 
-	"repro/internal/analyze"
-	"repro/internal/opt"
-	"repro/internal/plancache"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
 
 // preparedStmt is one PREPARE'd statement in a session: the parameterized
-// AST, its normalized digest, and the declared parameter types. The
+// AST, its normalized digest, and how many parameters it takes. The
 // compiled template itself lives in the server-wide plan cache so every
 // session preparing the same shape shares one compilation; the session
 // entry is just the handle EXECUTE resolves by name.
 type preparedStmt struct {
-	name       string
-	db         string // database the statement was prepared against
-	digest     string // normalized digest of the parameterized form
-	norm       *sql.SelectStmt
-	paramTypes []types.T
-	det        bool
+	db      string // database the statement was prepared against
+	digest  string // normalized digest of the parameterized form
+	norm    *sql.SelectStmt
+	nparams int
 }
 
-// executePrepare parses already happened; hoist literals, compile the
-// template eagerly (so EXECUTE is pure bind-and-run), and register the
-// name. Re-preparing an existing name replaces it.
+// executePrepare hoists the statement's literals, compiles the template
+// eagerly (so EXECUTE is pure bind-and-run), and registers the name.
+// Re-preparing an existing name replaces it.
 func (s *Session) executePrepare(x *sql.PrepareStmt) (*Result, error) {
-	if s.v12() {
+	if s.opts.planner.v12 {
 		if err := checkV12Support(x.Select); err != nil {
 			return nil, err
 		}
 	}
 	norm, args, digest := sql.Parameterize(x.Select)
-	paramTypes := make([]types.T, len(args))
-	for i, a := range args {
-		paramTypes[i] = sql.ParamType(a)
-	}
-	p := &preparedStmt{
-		name:       x.Name,
-		db:         s.db,
-		digest:     digest,
-		norm:       norm,
-		paramTypes: paramTypes,
-		det:        sql.IsDeterministic(x.Select),
-	}
+	p := &preparedStmt{db: s.db, digest: digest, norm: norm, nparams: len(args)}
 	// Compile now: a PREPARE that cannot plan should fail at PREPARE, and
 	// the warm template makes the first EXECUTE as cheap as the rest.
-	if _, err := s.templateFor(p); err != nil {
+	if _, _, err := s.template(p.db, p.digest, p.norm); err != nil {
 		return nil, err
 	}
 	if s.prepared == nil {
@@ -58,49 +42,17 @@ func (s *Session) executePrepare(x *sql.PrepareStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-// templateFor returns the compiled plan template for a prepared statement,
-// from the plan cache when possible, compiling (and caching) otherwise.
-func (s *Session) templateFor(p *preparedStmt) (*plancache.Entry, error) {
-	key := plancache.Key{
-		DB:     p.db,
-		Digest: p.digest,
-		Schema: s.srv.MS.SchemaVersion(),
-		Conf:   s.planConfFingerprint(),
-	}
-	cacheable := s.confBool("hive.query.plan.cache.enabled")
-	if cacheable {
-		if e := s.srv.Plans.Get(key); e != nil {
-			s.LastPlanCacheHit = true
-			return e, nil
-		}
-	}
-	s.LastPlanCacheHit = false
-	rel, err := analyze.New(s.srv.MS, p.db).AnalyzeSelect(p.norm)
-	if err != nil {
-		return nil, err
-	}
-	rel = opt.New(s.srv.MS, s.optimizerOptions()).Optimize(rel)
-	cols := make([]string, len(rel.Schema()))
-	for i, f := range rel.Schema() {
-		cols[i] = f.Name
-	}
-	e := &plancache.Entry{Rel: rel, Columns: cols, ParamTypes: p.paramTypes, Deterministic: p.det}
-	if cacheable {
-		s.srv.Plans.Put(key, e)
-	}
-	return e, nil
-}
-
-// executeExecute binds EXECUTE arguments to a prepared statement and runs
-// its cached template — no parsing or planning on this path.
+// executeExecute binds EXECUTE arguments to a prepared statement and sends
+// it down the pipeline — no parsing, and no planning while its template is
+// in the plan cache.
 func (s *Session) executeExecute(x *sql.ExecuteStmt) (*Result, error) {
 	p, ok := s.prepared[x.Name]
 	if !ok {
 		return nil, fmt.Errorf("hs2: no prepared statement %q", x.Name)
 	}
-	if len(x.Args) != len(p.paramTypes) {
+	if len(x.Args) != p.nparams {
 		return nil, fmt.Errorf("hs2: prepared statement %q wants %d parameters, got %d",
-			x.Name, len(p.paramTypes), len(x.Args))
+			x.Name, p.nparams, len(x.Args))
 	}
 	args := make([]types.Datum, len(x.Args))
 	for i, a := range x.Args {
@@ -110,12 +62,7 @@ func (s *Session) executeExecute(x *sql.ExecuteStmt) (*Result, error) {
 		}
 		args[i] = d
 	}
-	entry, err := s.templateFor(p)
-	if err != nil {
-		return nil, err
-	}
-	s.LastCompileNanos = 0 // bind-and-run: nothing compiled on this path
-	return s.executeTemplate(p.db, p.digest, entry, args)
+	return s.run(&query{stmt: p, args: args})
 }
 
 // executeArgValue evaluates an EXECUTE argument: a literal constant,

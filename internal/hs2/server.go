@@ -1,8 +1,8 @@
 // Package hs2 implements HiveServer2: sessions, the driver pipeline of
 // paper Figure 2 (parse → logical plan → optimize → physical plan → task
-// DAG → runtime), DML/DDL execution over the ACID layer, query
-// reoptimization (§4.2), the query results cache (§4.3), materialized view
-// maintenance (§4.4), workload management (§5.2) and federation (§6).
+// DAG → runtime; pipeline.go), DML/DDL execution over the ACID layer, the
+// plan and query results caches (§4.3), materialized view maintenance
+// (§4.4), workload management (§5.2) and federation (§6).
 //
 // Configuration profiles reproduce the paper's version comparison: profile
 // "1.2" disables the optimizations Hive 1.2 lacked and rejects the SQL
@@ -11,13 +11,10 @@ package hs2
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/federation"
@@ -65,7 +62,9 @@ type Server struct {
 	wmgr        *wm.Manager
 	memoryBytes int64
 	ioThreads   int
-	defaults    map[string]string
+	// defaults are the session defaults: written by NewServer, read-only
+	// (and so lock-free) afterwards.
+	defaults map[string]string
 	// querySeq disambiguates per-query scratch directories across
 	// concurrent sessions (a wall-clock tick alone can collide).
 	querySeq atomic.Int64
@@ -91,10 +90,9 @@ func NewServer(cfg Config) *Server {
 	if cfg.DecodedCacheBytes <= 0 {
 		cfg.DecodedCacheBytes = cfg.CacheBytes / 2
 	}
-	// Session defaults come from the knob registry (knobs.go); the three
-	// machine-dependent ones are resolved from the effective Config here.
+	// Session defaults come from the knob registry (knobs.go); the two that
+	// mirror Config fields are resolved from the effective Config here.
 	defaults := defaultConf()
-	defaults["hive.parallelism"] = strconv.Itoa(runtime.NumCPU())
 	defaults["hive.llap.io.threads"] = strconv.Itoa(cfg.IOThreads)
 	defaults["hive.llap.decoded.cache.bytes"] = strconv.FormatInt(cfg.DecodedCacheBytes, 10)
 	s := &Server{
@@ -109,7 +107,7 @@ func NewServer(cfg Config) *Server {
 		Daemons:   llap.NewDaemons(cfg.Executors),
 		Results:   resultcache.New(256),
 		Plans:     plancache.New(128),
-		defaults: defaults,
+		defaults:  defaults,
 	}
 	s.memoryBytes = cfg.MemoryBytes
 	return s
@@ -143,55 +141,65 @@ type Session struct {
 	cancel      context.CancelFunc
 	User        string
 	Application string
-	// LastRewriteUsedMV reports whether the previous query was answered
-	// from a materialized view (observability for tests and examples).
-	LastRewriteUsedMV bool
-	// LastCacheHit reports whether the previous query came from the
-	// results cache.
-	LastCacheHit bool
-	// LastPlanCacheHit reports whether the previous query reused a cached
-	// compiled plan (skipping analysis and optimization).
-	LastPlanCacheHit bool
-	// LastQueryDigest is the digest the previous query was admitted and
-	// observed under in workload management. On the parameterized path it
-	// is the normalized digest, shared by all literal variants of a shape.
-	LastQueryDigest string
-	// LastCompileNanos measures the previous query's compile phase:
-	// parameterization plus plan-cache lookup, plus analysis/optimization
-	// only on a plan-cache miss.
-	LastCompileNanos int64
+	// opts are the options of the statement being executed, resolved from
+	// conf once by executeStmt; nothing below it reads the conf maps.
+	opts queryOptions
 	// prepared holds this session's PREPARE'd statements by name.
 	prepared map[string]*preparedStmt
 	// testHookAfterLookup, when set, runs between the result-cache lookup
 	// and plan execution — test instrumentation for snapshot races.
 	testHookAfterLookup func()
-	// LastPlan is the EXPLAIN rendering of the previous query's plan.
+	// Observations describes the previous query. The pipeline fills its own
+	// copy and publishes it here once, when the query exits — hit, miss or
+	// error — so no field ever describes an older query than its neighbours.
+	Observations
+}
+
+// Observations is what one query reports about itself (observability for
+// tests, examples, monitoring and workload-management triggers). Fields a
+// query never reached are zero: a result-cache hit has no physical plan
+// and no memory or I/O counters.
+type Observations struct {
+	// LastRewriteUsedMV reports whether the query was answered from a
+	// materialized view.
+	LastRewriteUsedMV bool
+	// LastCacheHit reports whether the query came from the results cache.
+	LastCacheHit bool
+	// LastPlanCacheHit reports whether the query reused a cached compiled
+	// plan (skipping analysis and optimization).
+	LastPlanCacheHit bool
+	// LastQueryDigest is the digest the query is admitted and observed
+	// under in workload management. On the parameterized path it is the
+	// normalized digest, shared by all literal variants of a shape.
+	LastQueryDigest string
+	// LastCompileNanos measures the compile phase: parameterization plus
+	// plan-cache lookup, plus analysis/optimization only on a plan-cache
+	// miss. An EXECUTE that finds its template compiled nothing: zero.
+	LastCompileNanos int64
+	// LastPlan is the EXPLAIN rendering of the query's plan; empty for the
+	// internal selects of DML and DDL statements.
 	LastPlan string
-	// LastPhysicalPlan is the prepared physical operator tree of the
-	// previous executed query (exec.ExplainPhysical): what actually ran,
-	// after property-driven elision and parallel placement. Golden-explain
-	// tests assert which enforcers survived.
+	// LastPhysicalPlan is the prepared physical operator tree
+	// (exec.ExplainPhysical): what actually ran, after property-driven
+	// elision and parallel placement. Golden-explain tests assert which
+	// enforcers survived.
 	LastPhysicalPlan string
-	// Reexecutions counts reoptimization retries in this session.
-	Reexecutions int
-	// LastPeakMemoryBytes and LastSpilledBytes report the previous query's
-	// memory governor accounting (observability for tests, monitoring and
-	// workload-management triggers).
+	// LastPeakMemoryBytes and LastSpilledBytes report the memory
+	// governor's accounting.
 	LastPeakMemoryBytes int64
 	LastSpilledBytes    int64
-	// LastDecodedCacheHits/Misses report the previous query's decoded-
-	// vector cache effectiveness (I/O elevator, paper §5.1); zero/zero when
-	// the elevator is off or the scan never consulted the cache.
+	// LastDecodedCacheHits/Misses report decoded-vector cache
+	// effectiveness (I/O elevator, paper §5.1); zero/zero when the elevator
+	// is off or the scan never consulted the cache.
 	LastDecodedCacheHits   int64
 	LastDecodedCacheMisses int64
-	// LastStripesSkipped counts data stripes the previous query's search
-	// arguments pruned; LastDeleteStripesSkipped counts delete-delta
-	// stripes pruned by the deleter write-id sarg while loading snapshots.
+	// LastStripesSkipped counts data stripes the query's search arguments
+	// pruned; LastDeleteStripesSkipped counts delete-delta stripes pruned
+	// by the deleter write-id sarg while loading snapshots.
 	LastStripesSkipped       int64
 	LastDeleteStripesSkipped int64
-	// LastPrefetchedStripes counts stripes the previous query handed to
-	// the I/O elevator (accepted prefetches, i.e. prefetch-ahead depth
-	// summed over the scan).
+	// LastPrefetchedStripes counts stripes handed to the I/O elevator
+	// (accepted prefetches, i.e. prefetch-ahead depth summed over the scan).
 	LastPrefetchedStripes int64
 }
 
@@ -210,13 +218,12 @@ func (s *Session) Close() {
 	}
 }
 
-// Conf reads a configuration key (session overlay over server defaults).
+// Conf reads a configuration key (session overlay over server defaults,
+// which are immutable once NewServer returns).
 func (s *Session) Conf(key string) string {
 	if v, ok := s.conf[key]; ok {
 		return v
 	}
-	s.srv.mu.Lock()
-	defer s.srv.mu.Unlock()
 	return s.srv.defaults[key]
 }
 
@@ -230,36 +237,33 @@ func (s *Session) confInt(key string) int64 {
 	return n
 }
 
-// v12 reports whether the session emulates Hive 1.2 (paper §7.1 baseline).
-func (s *Session) v12() bool { return s.Conf("hive.profile") == "1.2" }
+// profile12 is what hive.profile = 1.2 overlays on a session — Hive 1.2:
+// Tez containers without LLAP, no CBO join reordering, no shared work, no
+// semijoin reduction, no result cache, no MVs. Profile 3.1 removes the
+// same keys again.
+var profile12 = map[string]string{
+	"hive.execution.mode":              "container",
+	"hive.llap.enabled":                "false",
+	"hive.optimize.join.reorder":       "false",
+	"hive.optimize.semijoin":           "false",
+	"hive.optimize.sharedwork":         "false",
+	"hive.materializedview.rewriting":  "false",
+	"hive.query.results.cache.enabled": "false",
+	"hive.query.plan.cache.enabled":    "false",
+}
 
 // SetConf sets a session configuration key.
 func (s *Session) SetConf(key, value string) {
 	key = strings.ToLower(key)
 	s.conf[key] = value
-	if key == "hive.profile" && value == "1.2" {
-		// Hive 1.2: Tez containers without LLAP, no CBO join reordering,
-		// no shared work, no semijoin reduction, no result cache, no MVs.
-		for k, v := range map[string]string{
-			"hive.execution.mode":              "container",
-			"hive.llap.enabled":                "false",
-			"hive.optimize.join.reorder":       "false",
-			"hive.optimize.semijoin":           "false",
-			"hive.optimize.sharedwork":         "false",
-			"hive.materializedview.rewriting":  "false",
-			"hive.query.results.cache.enabled": "false",
-			"hive.query.plan.cache.enabled":    "false",
-		} {
-			s.conf[k] = v
-		}
+	if key != "hive.profile" {
+		return
 	}
-	if key == "hive.profile" && value == "3.1" {
-		for _, k := range []string{
-			"hive.execution.mode", "hive.llap.enabled",
-			"hive.optimize.join.reorder", "hive.optimize.semijoin",
-			"hive.optimize.sharedwork", "hive.materializedview.rewriting",
-			"hive.query.results.cache.enabled", "hive.query.plan.cache.enabled",
-		} {
+	for k, v := range profile12 {
+		switch value {
+		case "1.2":
+			s.conf[k] = v
+		case "3.1":
 			delete(s.conf, k)
 		}
 	}
@@ -296,49 +300,4 @@ func (s *Session) mvRewriter() *mv.Rewriter {
 			return s.analyzeSQL(viewSQL, db)
 		},
 	}
-}
-
-// admission acquires workload-manager resources when a plan is active:
-// the query's plan digest keys the peak-memory estimate history, and the
-// context covers queue waits (client disconnect or deadline removes the
-// waiter). A nil admission with no error means no plan gates this query.
-func (s *Session) admission(ctx context.Context, digest string) (adm *wm.Admission, pool string, err error) {
-	mgr := s.srv.WorkloadManager()
-	if mgr == nil {
-		return nil, "", nil
-	}
-	pool = mgr.PoolFor(s.User, s.Application)
-	if pool == "" {
-		return nil, "", nil
-	}
-	adm, err = mgr.Admit(ctx, pool, wm.AdmitRequest{
-		Digest:       digest,
-		QueueTimeout: time.Duration(s.confInt("hive.wm.queue.timeout.ms")) * time.Millisecond,
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	return adm, pool, nil
-}
-
-// checkTriggers evaluates workload triggers after execution; a KILL
-// trigger turns into an error, reproducing §5.2 semantics. Memory metrics
-// come from the last run's governor, closing the loop between operator
-// memory accounting and resource-plan guardrails (paper §4.4).
-func (s *Session) checkTriggers(pool string, elapsed time.Duration) error {
-	mgr := s.srv.WorkloadManager()
-	if mgr == nil || pool == "" {
-		return nil
-	}
-	action, _ := mgr.Evaluate(pool, wm.QueryMetrics{
-		TotalRuntimeMS:   elapsed.Milliseconds(),
-		PeakMemoryBytes:  s.LastPeakMemoryBytes,
-		SpilledBytes:     s.LastSpilledBytes,
-		StripesSkipped:   s.LastStripesSkipped + s.LastDeleteStripesSkipped,
-		DecodedCacheHits: s.LastDecodedCacheHits,
-	})
-	if action == wm.ActionKill {
-		return fmt.Errorf("hs2: query killed by workload manager trigger in pool %s", pool)
-	}
-	return nil
 }

@@ -1,8 +1,12 @@
 package hs2
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/wm"
 )
 
 func servingWarehouse(t *testing.T) (*Server, *Session) {
@@ -166,5 +170,51 @@ func TestPlanCacheOffFallsBack(t *testing.T) {
 	res = mustExec(t, s, `EXECUTE q (3)`)
 	if res.Rows[0][0].I != 3 {
 		t.Fatalf("EXECUTE with plan cache off = %v, want 3", res.Rows)
+	}
+}
+
+// TestExplainOnlyCompiles: EXPLAIN stops the pipeline after the compile
+// stage. With the pool's one slot held and a 1 ms queue timeout a SELECT
+// cannot be admitted — EXPLAIN of the same statement still answers, builds
+// no execution context (the scratch sequence does not move), reads and
+// writes nothing in the file system and leaves the result cache untouched.
+func TestExplainOnlyCompiles(t *testing.T) {
+	srv, s := servingWarehouse(t)
+	for _, stmt := range []string{
+		`CREATE RESOURCE PLAN p`,
+		`CREATE POOL p.only WITH alloc_fraction=1.0, query_parallelism=1`,
+		`ALTER PLAN p SET DEFAULT POOL = only`,
+		`ALTER RESOURCE PLAN p ENABLE ACTIVATE`,
+	} {
+		mustExec(t, s, stmt)
+	}
+	held, err := srv.WorkloadManager().Admit(context.Background(), "only", wm.AdmitRequest{Digest: "holder"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Release()
+	s.SetConf("hive.wm.queue.timeout.ms", "1")
+	const q = `SELECT sum(v) FROM t WHERE v > 1`
+	if _, err := s.Execute(q); !errors.Is(err, wm.ErrQueueTimeout) {
+		t.Fatalf("setup: SELECT with the pool's slot held: err = %v, want the queue timeout", err)
+	}
+
+	seq, io := srv.querySeq.Load(), srv.FS.IOStats()
+	hits, misses, waits := srv.Results.Stats()
+	res := mustExec(t, s, `EXPLAIN `+q)
+	if text := res.Rows[0][0].S; !strings.Contains(text, "TableScan") || !strings.HasPrefix(text, s.LastPlan) {
+		t.Errorf("EXPLAIN text does not start with LastPlan:\n%s\n%s", text, s.LastPlan)
+	}
+	if got := srv.querySeq.Load(); got != seq {
+		t.Errorf("EXPLAIN built %d execution context(s)", got-seq)
+	}
+	if got := srv.FS.IOStats(); got != io {
+		t.Errorf("EXPLAIN touched the file system: %+v, was %+v", got, io)
+	}
+	if h, m, w := srv.Results.Stats(); h != hits || m != misses || w != waits {
+		t.Errorf("EXPLAIN touched the result cache: %d/%d/%d, was %d/%d/%d", h, m, w, hits, misses, waits)
+	}
+	if s.LastPhysicalPlan != "" || s.LastPeakMemoryBytes != 0 {
+		t.Errorf("EXPLAIN reports a run: %+v", s.Observations)
 	}
 }

@@ -7,7 +7,10 @@
 // code they configured. Knobs marked Startup: true are consumed at server
 // boot rather than per-session and are exempt from the dead-knob check.
 // Test files count as usages (many knobs are exercised only by the e2e
-// suites' SetConf calls).
+// suites' SetConf calls). A per-query knob is also read in one place: a
+// non-Startup knob passed to Conf/confBool/confInt at more than one non-test
+// site is a finding — options resolve once per statement and are handed
+// down typed, so a second reader is a second spelling to keep in step.
 package lint
 
 import (
@@ -23,7 +26,7 @@ const confKnobRegistryName = "conf-knob-registry"
 
 var ConfKnobRegistry = &Analyzer{
 	Name: confKnobRegistryName,
-	Doc:  "every hive.* literal must be declared in the lint:knob-registry table; declared knobs must be used",
+	Doc:  "every hive.* literal must be declared in the lint:knob-registry table; declared knobs must be used, and read at one site",
 	Run:  runConfKnobRegistry,
 }
 
@@ -110,7 +113,41 @@ func runConfKnobRegistry(w *Workspace) []Diagnostic {
 		}
 	}
 
-	// Pass 3: dead knobs — declared, not startup-scoped, never used.
+	// Pass 3: one reader per knob. Files are visited in load order, so the
+	// site that keeps its read is the first one; every later one is flagged.
+	readAt := map[string]bool{}
+	for _, pkg := range w.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				if callee := Callee(pkg.Info, call); callee == nil || !confReaders[callee.Name()] {
+					return true
+				}
+				lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				knob := strings.Trim(lit.Value, `"`)
+				if d := declared[knob]; d == nil || d.startup {
+					return true
+				}
+				if readAt[knob] {
+					diags = append(diags, Diagnostic{
+						Pos:      w.Position(lit.Pos()),
+						Analyzer: confKnobRegistryName,
+						Message:  fmt.Sprintf("conf knob %q is read at more than one site; resolve it once and hand the typed value down", knob),
+					})
+				}
+				readAt[knob] = true
+				return true
+			})
+		}
+	}
+
+	// Pass 4: dead knobs — declared, not startup-scoped, never used.
 	for knob, d := range declared {
 		if !d.startup && !used[knob] {
 			diags = append(diags, Diagnostic{
@@ -122,6 +159,9 @@ func runConfKnobRegistry(w *Workspace) []Diagnostic {
 	}
 	return diags
 }
+
+// confReaders are the functions that read a knob's value by key.
+var confReaders = map[string]bool{"Conf": true, "confBool": true, "confInt": true}
 
 // collectRegistryKeys walks a registry var declaration: map keys (or Name
 // fields in a slice-of-struct table) that look like knobs become declared

@@ -14,7 +14,7 @@ import (
 // want, so both false negatives and false positives fail the harness.
 var fixtureAnalyzers = map[string]*Analyzer{
 	"reserve":     ReservationBalance,
-	"snapshot":    SnapshotPinning,
+	"snapshot":    NewSnapshotPinning("snapshot.query.execute", "snapshot.query.renamedAway"),
 	"alias":       NoAliasEscape,
 	"closecancel": CloseAndCancel,
 	"knobs":       ConfKnobRegistry,

@@ -1,7 +1,8 @@
 // Fixture for the snapshot-pinning analyzer: a miniature transaction
-// manager with the GetSnapshot/GetValidWriteIds surface, and a runOnce
-// zone root.
-package snapshot
+// manager with the GetSnapshot/GetValidWriteIds surface, a query.execute
+// zone root, and a second configured root (snapshot.query.renamedAway) that
+// no function here answers to.
+package snapshot // want "zone root snapshot.query.renamedAway matches no function"
 
 type Snapshot struct{ id int64 }
 
@@ -11,9 +12,11 @@ func (t *Txns) GetSnapshot() *Snapshot { t.next++; return &Snapshot{id: t.next} 
 
 func (t *Txns) GetValidWriteIds(name string, s *Snapshot) []int64 { return nil }
 
-// runOnce is a zone root by name: everything it reaches runs below the
+type query struct{}
+
+// execute is a configured zone root: everything it reaches runs below the
 // pinning frontier.
-func runOnce(t *Txns) {
+func (q *query) execute(t *Txns) {
 	fresh := t.GetSnapshot() // want "opens a fresh snapshot"
 	scanAll(t)
 	scanPinned(t, fresh)

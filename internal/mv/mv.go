@@ -7,9 +7,6 @@
 package mv
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/metastore"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -424,9 +421,4 @@ func sortStrings(s []string) {
 			}
 		}
 	}
-}
-
-// DigestOf renders a stable description of a view definition for errors.
-func DigestOf(view *metastore.Table) string {
-	return fmt.Sprintf("%s := %s", view.FullName(), strings.TrimSpace(view.ViewSQL))
 }

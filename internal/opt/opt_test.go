@@ -179,6 +179,30 @@ func TestJoinReorderStartsFromSmallest(t *testing.T) {
 	}
 }
 
+// TestJoinReorderBreaksTiesByInputOrder: cross-joined inputs with equal
+// estimates (tpcds_q88's shape). Candidates used to be visited in map order,
+// so two compiles of one statement could build different trees — and EXPLAIN
+// could show a plan other than the one that ran.
+func TestJoinReorderBreaksTiesByInputOrder(t *testing.T) {
+	ms := catalog(t)
+	for _, name := range []string{"fact", "dim", "other"} {
+		ms.SetStats("default."+name, &metastore.TableStats{RowCount: 100})
+	}
+	build := func() plan.Rel {
+		j := &plan.Join{Kind: plan.Cross, Left: scanOf(ms, t, "fact"), Right: scanOf(ms, t, "dim")}
+		return &plan.Join{Kind: plan.Cross, Left: j, Right: scanOf(ms, t, "other")}
+	}
+	want := plan.Explain(New(ms, Options{JoinReorder: true}).Optimize(build()))
+	if fact, dim, other := strings.Index(want, "default.fact"), strings.Index(want, "default.dim"), strings.Index(want, "default.other"); !(fact < dim && dim < other) {
+		t.Fatalf("tied inputs were not kept in written order:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := plan.Explain(New(ms, Options{JoinReorder: true}).Optimize(build())); got != want {
+			t.Fatalf("compile %d built a different tree:\n%s\nfirst:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestSharedWorkSpoolsRepeatedSubtrees(t *testing.T) {
 	ms := catalog(t)
 	o := New(ms, AllOn())

@@ -44,10 +44,10 @@ func (o *Optimizer) reorderJoins(rel plan.Rel) plan.Rel {
 		return 0
 	}
 
-	remaining := map[int]bool{}
-	for i := range inputs {
-		remaining[i] = true
-	}
+	// placed marks the inputs already in the tree. Candidates are always
+	// visited in input order, so equal estimates resolve to the earliest
+	// input and two compiles of one statement build the same tree.
+	placed := make([]bool, len(inputs))
 	// Start from the smallest input.
 	start, best := -1, 0.0
 	for i := range inputs {
@@ -57,7 +57,7 @@ func (o *Optimizer) reorderJoins(rel plan.Rel) plan.Rel {
 		}
 	}
 	current := inputs[start]
-	delete(remaining, start)
+	placed[start] = true
 	// mapping: global ordinal -> current plan ordinal (-1 if absent).
 	mapping := make([]int, totalW)
 	for i := range mapping {
@@ -88,11 +88,14 @@ func (o *Optimizer) reorderJoins(rel plan.Rel) plan.Rel {
 		return cur, plan.AndAll(conds)
 	}
 
-	for len(remaining) > 0 {
+	for n := 1; n < len(inputs); n++ {
 		// Prefer a connected input minimizing estimated join output.
 		next, nextCost := -1, 0.0
 		connected := false
-		for i := range remaining {
+		for i := range inputs {
+			if placed[i] {
+				continue
+			}
 			conn := false
 			for _, p := range preds {
 				if p.used {
@@ -121,7 +124,7 @@ func (o *Optimizer) reorderJoins(rel plan.Rel) plan.Rel {
 			mapping[offsets[next]+i] = curW + i
 		}
 		joined := &plan.Join{Kind: plan.Inner, Left: current, Right: inputs[next]}
-		delete(remaining, next)
+		placed[next] = true
 		_, cond := attachPreds(joined)
 		if cond == nil {
 			joined.Kind = plan.Cross

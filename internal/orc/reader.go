@@ -115,9 +115,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// SetChunkReader substitutes the raw-chunk source, e.g. the LLAP data cache.
-func (r *Reader) SetChunkReader(cr ChunkReader) { r.chunks = cr }
-
 // SetVectorCache attaches a decoded-vector cache consulted by ReadStripe
 // and populated by both ReadStripe and PrefetchStripe.
 func (r *Reader) SetVectorCache(vc VectorCache) { r.vectors = vc }
@@ -157,16 +154,6 @@ func (r *Reader) FileID() uint64 { return r.fileID }
 
 // Path returns the file path.
 func (r *Reader) Path() string { return r.path }
-
-// ColumnIndex returns the position of a named column, or -1.
-func (r *Reader) ColumnIndex(name string) int {
-	for i, c := range r.schema {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // StripeCanMatch evaluates a search argument against stripe statistics,
 // returning false only when the stripe provably contains no matching rows.

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/plan"
-	"repro/internal/types"
 )
 
 // Key identifies one cached plan template.
@@ -43,9 +42,8 @@ func (k Key) hash() uint32 {
 // directly — plan.BindParams stamps out a private deep copy per run.
 type Entry struct {
 	Rel           plan.Rel
-	Columns       []string  // output column names
-	ParamTypes    []types.T // declared type of each hoisted parameter
-	Deterministic bool      // false disables result caching for the statement
+	Columns       []string // output column names
+	Deterministic bool     // false disables result caching for the statement
 }
 
 type cached struct {

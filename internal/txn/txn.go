@@ -325,17 +325,3 @@ func (m *Manager) CompactorValidWriteIds(table string) ValidWriteIds {
 	}
 	return out
 }
-
-// OpenTxnCount reports the number of open transactions (for tests and the
-// compaction trigger heuristics).
-func (m *Manager) OpenTxnCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, st := range m.txns {
-		if st.status == StatusOpen {
-			n++
-		}
-	}
-	return n
-}

@@ -102,22 +102,10 @@ func TArray(elem T) T { return T{Kind: Array, Elem: &elem} }
 // TMap returns a MAP<key,val> type.
 func TMap(key, val T) T { return T{Kind: Map, Key: &key, Elem: &val} }
 
-// TStruct returns a STRUCT type with the given fields.
-func TStruct(fields ...Field) T { return T{Kind: Struct, Fields: fields} }
-
 // Numeric reports whether the type participates in arithmetic.
 func (t T) Numeric() bool {
 	switch t.Kind {
 	case Int32, Int64, Float64, Decimal:
-		return true
-	}
-	return false
-}
-
-// Orderable reports whether values of the type can be compared with < and >.
-func (t T) Orderable() bool {
-	switch t.Kind {
-	case Boolean, Int32, Int64, Float64, Decimal, String, Date, Timestamp, Interval:
 		return true
 	}
 	return false

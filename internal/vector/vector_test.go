@@ -222,19 +222,72 @@ func TestAppendRowsAndGather(t *testing.T) {
 	}
 }
 
-// Mismatched representations convert exactly like Set(Get()).
+// Mismatched representations — a declared type that differs from the vector
+// actually delivered — take rawCopyable's fallback and convert exactly like
+// Set(Get()), row by row: decimal scale up and down, integers into doubles
+// and decimals, under a selection vector, with NULLs and null-extension.
 func TestAppendRowsAndGatherConvert(t *testing.T) {
-	src := New(types.TDecimal(9, 1), 2)
-	src.I64[0], src.I64[1] = 15, 20 // 1.5, 2.0
-	dst := New(types.TDecimal(9, 3), 0)
-	dst.AppendRows(src, nil, 2)
-	if dst.I64[0] != 1500 || dst.I64[1] != 2000 {
-		t.Errorf("append rescale: %v", dst.I64)
+	fill := func(typ types.T, vals ...int64) *Vector {
+		v := New(typ, len(vals)+1)
+		for i, x := range vals {
+			v.I64[i] = x
+		}
+		v.SetNull(len(vals))
+		return v
 	}
-	f := New(types.TDouble, 2)
-	f.Gather(0, src, []int32{1, 0})
-	if f.F64[0] != 2.0 || f.F64[1] != 1.5 {
-		t.Errorf("gather decimal into double: %v", f.F64)
+	for _, c := range []struct {
+		name string
+		to   types.T
+		from *Vector
+		raw  bool
+		want []float64 // value of each source row once converted
+	}{
+		{"decimal scale up", types.TDecimal(9, 3), fill(types.TDecimal(9, 1), 15, 20, -5), false, []float64{1.5, 2, -0.5}},
+		{"decimal scale down", types.TDecimal(9, 1), fill(types.TDecimal(9, 3), 1500, 2000, -500), false, []float64{1.5, 2, -0.5}},
+		{"int into double", types.TDouble, fill(types.TInt, 7, -3, 0), false, []float64{7, -3, 0}},
+		{"bigint into double", types.TDouble, fill(types.TBigint, 1<<40, 2, 3), false, []float64{1 << 40, 2, 3}},
+		{"decimal into double", types.TDouble, fill(types.TDecimal(9, 1), 15, 20, -5), false, []float64{1.5, 2, -0.5}},
+		{"bigint into decimal", types.TDecimal(9, 2), fill(types.TBigint, 4, -1, 0), false, []float64{4, -1, 0}},
+		{"int into bigint", types.TBigint, fill(types.TInt, 7, -3, 0), true, []float64{7, -3, 0}},
+		{"same decimal", types.TDecimal(9, 2), fill(types.TDecimal(9, 2), 150, 200, -50), true, []float64{1.5, 2, -0.5}},
+	} {
+		if got := rawCopyable(c.to, c.from.Type); got != c.raw {
+			t.Errorf("%s: rawCopyable = %v, want %v", c.name, got, c.raw)
+		}
+		check := func(op string, dst *Vector, i, srcRow int) {
+			t.Helper()
+			ref := New(c.to, 1)
+			ref.Set(0, c.from.Get(srcRow))
+			if !sameRow(dst, i, ref, 0) {
+				t.Errorf("%s: %s row %d = %v, want Set(Get()) = %v", c.name, op, i, dst.Get(i), ref.Get(0))
+			}
+			if srcRow == len(c.want) {
+				if !dst.IsNull(i) {
+					t.Errorf("%s: %s row %d = %v, want NULL", c.name, op, i, dst.Get(i))
+				}
+			} else if got := dst.Get(i).Float(); got != c.want[srcRow] {
+				t.Errorf("%s: %s row %d = %v, want %v", c.name, op, i, got, c.want[srcRow])
+			}
+		}
+		sel := []int{3, 1, 1, 0}
+		dst := New(c.to, 0)
+		dst.AppendRows(c.from, nil, 4)
+		dst.AppendRows(c.from, sel, len(sel))
+		for i, r := range append([]int{0, 1, 2, 3}, sel...) {
+			check("AppendRows", dst, i, r)
+		}
+		out := New(c.to, 5)
+		idx := []int32{2, -1, 3, 0}
+		out.Gather(1, c.from, idx)
+		for k, r := range idx {
+			if r < 0 {
+				if !out.IsNull(1 + k) {
+					t.Errorf("%s: Gather of -1 = %v, want NULL", c.name, out.Get(1+k))
+				}
+				continue
+			}
+			check("Gather", out, 1+k, int(r))
+		}
 	}
 }
 
